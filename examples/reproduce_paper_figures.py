@@ -12,8 +12,7 @@ in any driver from ``repro.experiments`` (fig04..fig13, table1, table2).
 Repeated trials fan out over ``--jobs`` worker processes (or the
 ``REPRO_JOBS`` environment variable; ``auto`` = one per CPU).  Results
 are bit-identical to serial execution — parallelism only changes
-wall-clock time.  Set ``REPRO_CACHE_DIR`` to some directory to reuse the
-measured pools across invocations.
+wall-clock time.
 
 Run:  python examples/reproduce_paper_figures.py --jobs auto
 """

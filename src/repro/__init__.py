@@ -19,9 +19,9 @@ Layout
     A small discrete-event simulation engine (events, processes, bounded
     stores) used to execute coupled in-situ workflows.
 ``repro.ml``
-    From-scratch gradient-boosted regression trees and random forests
-    (stand-in for ``xgboost.XGBRegressor``), plus the paper's evaluation
-    metrics (recall score, MdAPE).
+    From-scratch gradient-boosted regression trees (stand-in for
+    ``xgboost.XGBRegressor``), a Gaussian process and k-NN, plus the
+    paper's evaluation metrics (recall score, MdAPE).
 ``repro.apps``
     Analytical performance simulators for the paper's component
     applications: LAMMPS, Voro++, Heat Transfer, Stage Write, Gray-Scott,

@@ -56,9 +56,6 @@ _TARGETS = {
     "fig13": ("fig13_sensitivity", True),
 }
 
-_ALGORITHMS = ("ceal", "rs", "al", "geist", "alph", "bo", "ceal-bo")
-
-
 def _jobs_value(text: str) -> str:
     """Validate --jobs at parse time, before any pool is generated."""
     from repro.experiments.runner import resolve_jobs
@@ -121,7 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument("--budget", type=int, default=50,
                       help="workflow-run budget m")
-    tune.add_argument("--algorithm", choices=_ALGORITHMS, default="ceal")
+    tune.add_argument(
+        "--algorithm", default="ceal",
+        help="tuning algorithm kind (default: ceal); an unknown kind "
+        "lists the choices")
     tune.add_argument("--pool-size", type=int, default=1000)
     tune.add_argument("--seed", type=int, default=0)
     tune.add_argument("--use-history", action="store_true",
@@ -362,38 +362,16 @@ def _finish_telemetry(hub, args) -> None:
             log.info("%s", line)
 
 
-def _make_algorithm(name: str, use_history: bool):
-    from repro.core import (
-        ActiveLearning,
-        Alph,
-        BayesianOptimization,
-        Ceal,
-        CealSettings,
-        Geist,
-        RandomSampling,
-    )
-
-    if name == "ceal":
-        return Ceal(CealSettings(use_history=use_history))
-    if name == "rs":
-        return RandomSampling()
-    if name == "al":
-        return ActiveLearning()
-    if name == "geist":
-        return Geist()
-    if name == "alph":
-        return Alph(use_history=use_history)
-    if name == "bo":
-        return BayesianOptimization()
-    if name == "ceal-bo":
-        return BayesianOptimization(bootstrap=True)
-    raise ValueError(f"unknown algorithm {name!r}")
-
-
 def _cmd_tune(args, out) -> int:
     from repro.core import AutoTuner
+    from repro.core.algorithms import make_algorithm
     from repro.workflows import make_workflow
 
+    try:
+        algorithm = make_algorithm(args.algorithm, args.use_history)
+    except ValueError as exc:
+        log.error("%s", exc)
+        return 2
     workflow = make_workflow(args.workflow)
     if args.resume and not args.checkpoint:
         log.error("--resume requires --checkpoint PATH")
@@ -403,34 +381,27 @@ def _cmd_tune(args, out) -> int:
         return 2
     store = None
     if args.store:
-        from repro.store import MeasurementStore, set_default_store
+        from repro.store import MeasurementStore
 
         store = MeasurementStore(args.store)
-        set_default_store(store)
     log.info(
         "tuning %s/%s with %s, budget %d, pool %d, seed %d",
         args.workflow, args.objective, args.algorithm, args.budget,
         args.pool_size, args.seed,
     )
-    try:
-        outcome = AutoTuner(
-            workflow,
-            objective=args.objective,
-            budget=args.budget,
-            algorithm=_make_algorithm(args.algorithm, args.use_history),
-            pool_size=args.pool_size,
-            use_history=args.use_history,
-            seed=args.seed,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            store=store,
-            warm_start=args.warm_start,
-        ).tune()
-    finally:
-        if store is not None:
-            from repro.store import set_default_store
-
-            set_default_store(None)
+    outcome = AutoTuner(
+        workflow,
+        objective=args.objective,
+        budget=args.budget,
+        algorithm=algorithm,
+        pool_size=args.pool_size,
+        use_history=args.use_history,
+        seed=args.seed,
+        checkpoint_path=args.checkpoint,
+        resume=args.resume,
+        store=store,
+        warm_start=args.warm_start,
+    ).tune()
     named = workflow.space.as_dict(outcome.best_config)
     print(f"workflow      : {args.workflow}", file=out)
     print(f"objective     : {args.objective}", file=out)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.core.algorithms.base import SearchStrategy, TuningAlgorithm
 from repro.core.component_models import ComponentModelSet
@@ -52,7 +52,10 @@ class _GpPoolModel:
         mean, std = self.gp.predict_latent(X)
         best = float(self.gp.to_latent(np.array([best_observed]))[0])
         z = (best - mean) / np.maximum(std, 1e-12)
-        return (best - mean) * norm.cdf(z) + std * norm.pdf(z)
+        # The standard normal cdf and pdf, bit-identical to
+        # ``scipy.stats.norm`` without importing ``scipy.stats``.
+        pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
+        return (best - mean) * ndtr(z) + std * pdf
 
 
 class BayesianOptimizationStrategy(SearchStrategy):

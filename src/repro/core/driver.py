@@ -8,12 +8,14 @@ two halves with an ask/tell contract:
   configurations to measure next (``ask``), how to digest fresh
   measurements (``tell``), and which model to hand the searcher
   (``finalize``);
-* the :class:`TuningDriver` owns the *measurement loop* — budget
+* a :class:`TuningRun` owns the *measurement cycle* — budget
   enforcement against the collector, fault-tolerant continuation after
   injected failures (failed runs consume budget and are reported to the
   strategy through ``tell`` so it can re-propose from the remaining
   pool), wall-clock timing of model fits, emission of typed per-cycle
-  :class:`TuningEvent` records, and session checkpoint/resume.
+  :class:`TuningEvent` records, and session checkpoint/resume.  It is
+  stepwise: :class:`TuningDriver` loops over it offline, and the serve
+  layer steps it one ask/tell request at a time.
 
 Checkpointing serialises only *logical* state (measured set, RNG state,
 counters, event log, raw component measurements) — never fitted models
@@ -51,14 +53,13 @@ __all__ = [
     "SearchStrategy",
     "TuningDriver",
     "TuningEvent",
+    "TuningRun",
     "TuningSession",
     "checkpoint_payload",
     "load_checkpoint",
-    "restore_session",
     "save_checkpoint",
     "save_checkpoint_payload",
     "split_batches",
-    "validate_checkpoint",
 ]
 
 
@@ -488,31 +489,6 @@ def save_checkpoint_payload(path: str | Path, payload: dict) -> None:
         raise
 
 
-def validate_checkpoint(
-    payload: dict, strategy: SearchStrategy, session: TuningSession
-) -> None:
-    """Check a checkpoint payload belongs to (strategy, session).
-
-    Raises :class:`CheckpointError` when the checkpoint was written by
-    a different algorithm, workflow, objective, seed, or budget — the
-    public face of the driver's resume validation, shared with the
-    serve layer's eviction/rehydration path.
-    """
-    TuningDriver._validate(payload, strategy, session)
-
-
-def restore_session(
-    payload: dict, strategy: SearchStrategy, session: TuningSession
-) -> None:
-    """Restore a validated checkpoint payload into a fresh session.
-
-    The session continues bit-identically from the checkpointed cycle
-    boundary (models are refit deterministically on demand, exactly as
-    in :meth:`TuningDriver.run` with ``resume=True``).
-    """
-    TuningDriver._restore(payload, strategy, session)
-
-
 def load_checkpoint(path: str | Path) -> dict:
     """Read a checkpoint payload written by :func:`save_checkpoint`."""
     try:
@@ -530,12 +506,152 @@ def load_checkpoint(path: str | Path) -> dict:
     return payload
 
 
-# -- the driver ---------------------------------------------------------------
+# -- the tuning cycle ---------------------------------------------------------
+
+
+class TuningRun:
+    """One tuning session, stepped one measurement cycle at a time.
+
+    The only copy of the tuning cycle (paper Fig. 3 / Alg. 1): prepare,
+    then ask → budget clip → measure → tell → emit → checkpoint until
+    the strategy stops proposing, then finalize.  :meth:`TuningDriver.run`
+    loops over it offline; the serve layer's
+    :class:`~repro.serve.sessions.SessionRunner` steps it one request at
+    a time, which is why a served session finishes bit-identical to an
+    offline one.
+
+    Lifecycle: :meth:`start` (fresh) or :meth:`restore` (from a
+    checkpoint payload), then :meth:`ask`/:meth:`tell` until ``ask``
+    returns ``[]``, then :meth:`finish`.  With a ``checkpoint_path`` the
+    resumable state is saved after the setup phase, after every
+    :meth:`tell` and on completion — only at cycle boundaries, never
+    between an ``ask`` and its ``tell``.
+    """
+
+    def __init__(
+        self,
+        strategy: SearchStrategy,
+        problem: TuningProblem,
+        checkpoint_path: str | Path | None = None,
+    ):
+        self.strategy = strategy
+        self.problem = problem
+        self.checkpoint_path = checkpoint_path
+        self.session = TuningSession.start(problem)
+        self.completed = False
+        #: The payload of the last checkpoint saved or restored (``None``
+        #: without a checkpoint path).
+        self.last_checkpoint: dict | None = None
+        self._result: AutotuneResult | None = None
+
+    def start(self) -> None:
+        """Fresh start: warm-adopt, ``prepare``, setup event, checkpoint."""
+        session = self.session
+        tel = telemetry.get()
+        with tel.span("driver.prepare", category="driver") as prep_span:
+            if self.problem.warm_start == "full":
+                from repro.store.warmstart import adopt_stored_measurements
+
+                adopted = adopt_stored_measurements(session)
+                if adopted:
+                    session.annotate(warm_adopted=adopted)
+            self.strategy.prepare(session)
+            if session.collector.runs_used > 0 or session.has_pending:
+                event = session.emit(kind="setup", batch=(), results={})
+                if tel.enabled:
+                    prep_span.set(**_event_attributes(event))
+        self._save()
+
+    def restore(self, payload: dict) -> None:
+        """Continue from a checkpoint payload written by the same session.
+
+        The caller must have built the *same* problem (workflow,
+        objective, pool, seed, budget) and strategy; a mismatch raises
+        :class:`CheckpointError`.  Models are refit deterministically on
+        demand, so the run continues bit-identically.
+        """
+        session = self.session
+        expected = {
+            "algorithm": self.strategy.name,
+            "workflow": self.problem.workflow.name,
+            "objective": self.problem.objective.name,
+            "seed": self.problem.seed,
+            "budget": session.collector.budget_runs,
+        }
+        for key, want in expected.items():
+            got = payload.get(key)
+            if got != want:
+                raise CheckpointError(
+                    f"checkpoint {key} mismatch: checkpoint has {got!r}, "
+                    f"the session was built with {want!r}"
+                )
+        session.iteration = payload["iteration"]
+        session.events = list(payload["events"])
+        session.fit_seconds_total = payload["fit_seconds_total"]
+        session.collector.restore_state(payload["collector"])
+        session.rng.bit_generator.state = payload["rng_state"]
+        session.tracker.restore_state(payload["tracker"])
+        self.strategy.load_state(payload["strategy"], session)
+        self.completed = bool(payload.get("completed", False))
+        self.last_checkpoint = payload
+
+    def ask(self) -> list[Configuration]:
+        """The strategy's next batch, clipped to the remaining budget.
+
+        ``[]`` means the session is over: call :meth:`finish`.
+        """
+        with telemetry.get().span("driver.ask", category="driver"):
+            batch = [tuple(c) for c in self.strategy.ask(self.session)]
+        return clip_to_budget(batch, self.session.collector)
+
+    def tell(self, batch: Sequence[Configuration]) -> TuningEvent:
+        """Measure ``batch`` (from :meth:`ask`), digest it, checkpoint."""
+        session = self.session
+        batch = list(batch)
+        results = session.collector.measure_batch(batch)
+        session.iteration += 1
+        with telemetry.get().span("driver.tell", category="driver"):
+            self.strategy.tell(session, batch, results)
+        event = session.emit(kind="iteration", batch=batch, results=results)
+        self._save()
+        return event
+
+    def finish(self) -> AutotuneResult:
+        """The session's result, finalizing it on the first call.
+
+        A run restored from a completed checkpoint refits its final
+        model (deterministic: same data, same seeds) without emitting a
+        second ``final`` event or rewriting the checkpoint.
+        """
+        if self._result is not None:
+            return self._result
+        session = self.session
+        with telemetry.get().span("driver.finalize", category="driver"):
+            model = self.strategy.finalize(session)
+            summary = None if self.completed else self.strategy.summary(session)
+        if not self.completed:
+            if summary or session.has_pending:
+                session.annotate(**summary)
+                session.emit(kind="final", batch=(), results={})
+            self.completed = True
+            self._save()
+        self._result = AutotuneResult.from_collector(
+            self.strategy.name, self.problem, model, trace=session.events
+        )
+        return self._result
+
+    def _save(self) -> None:
+        if self.checkpoint_path is not None:
+            payload = checkpoint_payload(
+                self.session, self.strategy, self.completed
+            )
+            save_checkpoint_payload(self.checkpoint_path, payload)
+            self.last_checkpoint = payload
 
 
 @dataclass
 class TuningDriver:
-    """Owns the measurement loop shared by every tuning algorithm.
+    """Runs a :class:`TuningRun` to completion in one call.
 
     Parameters
     ----------
@@ -582,82 +698,33 @@ class TuningDriver:
             objective=problem.objective.name,
             resume=resume,
         ):
-            return self._run(
-                strategy, problem, tel, resume=resume, max_cycles=max_cycles
-            )
-
-    def _run(
-        self,
-        strategy: SearchStrategy,
-        problem: TuningProblem,
-        tel,
-        *,
-        resume: bool,
-        max_cycles: int | None,
-    ) -> AutotuneResult | None:
-        session = TuningSession.start(problem)
-        if resume:
-            if self.checkpoint_path is None:
-                raise ValueError("resume requires a checkpoint_path")
-            payload = load_checkpoint(self.checkpoint_path)
-            self._validate(payload, strategy, session)
-            self._restore(payload, strategy, session)
-        else:
-            with tel.span("driver.prepare", category="driver") as prep_span:
-                if problem.warm_start == "full":
-                    from repro.store.warmstart import adopt_stored_measurements
-
-                    adopted = adopt_stored_measurements(session)
-                    if adopted:
-                        session.annotate(warm_adopted=adopted)
-                strategy.prepare(session)
-                if session.collector.runs_used > 0 or session.has_pending:
-                    event = session.emit(kind="setup", batch=(), results={})
+            run = TuningRun(strategy, problem, self.checkpoint_path)
+            if resume:
+                if self.checkpoint_path is None:
+                    raise ValueError("resume requires a checkpoint_path")
+                run.restore(load_checkpoint(self.checkpoint_path))
+            else:
+                run.start()
+            cycles = 0
+            while not run.completed:
+                if max_cycles is not None and cycles >= max_cycles:
+                    return None
+                with tel.span(
+                    "driver.cycle",
+                    category="driver",
+                    iteration=run.session.iteration + 1,
+                ) as cycle_span:
+                    batch = run.ask()
+                    if not batch:
+                        break
+                    event = run.tell(batch)
                     if tel.enabled:
-                        prep_span.set(**_event_attributes(event))
-            self._save(session, strategy)
-
-        cycles = 0
-        while True:
-            if max_cycles is not None and cycles >= max_cycles:
-                return None
-            with tel.span(
-                "driver.cycle",
-                category="driver",
-                iteration=session.iteration + 1,
-            ) as cycle_span:
-                with tel.span("driver.ask", category="driver"):
-                    batch = [tuple(c) for c in strategy.ask(session)]
-                remaining = session.collector.runs_remaining
-                if not math.isinf(remaining) and len(batch) > remaining:
-                    batch = batch[: max(int(remaining), 0)]
-                if not batch:
-                    break
-                results = session.collector.measure_batch(batch)
-                session.iteration += 1
-                with tel.span("driver.tell", category="driver"):
-                    strategy.tell(session, batch, results)
-                event = session.emit(
-                    kind="iteration", batch=batch, results=results
-                )
-                if tel.enabled:
-                    cycle_span.set(**_event_attributes(event))
-                    tel.counter("driver.cycles").inc()
-                    tel.histogram("fit_seconds").observe(event.fit_seconds)
-            self._heartbeat(strategy, session)
-            self._save(session, strategy)
-            cycles += 1
-
-        with tel.span("driver.finalize", category="driver"):
-            model = strategy.finalize(session)
-            summary = strategy.summary(session)
-        if summary or session.has_pending:
-            session.annotate(**summary)
-            session.emit(kind="final", batch=(), results={})
-        self._save(session, strategy, completed=True)
-        return AutotuneResult.from_collector(
-            strategy.name, problem, model, trace=session.events
-        )
+                        cycle_span.set(**_event_attributes(event))
+                        tel.counter("driver.cycles").inc()
+                        tel.histogram("fit_seconds").observe(event.fit_seconds)
+                self._heartbeat(strategy, run.session)
+                cycles += 1
+            return run.finish()
 
     @staticmethod
     def _heartbeat(strategy: SearchStrategy, session: TuningSession) -> None:
@@ -682,48 +749,6 @@ class TuningDriver:
             best_value=min(measured.values()) if measured else None,
             fit_seconds=session.fit_seconds_total,
         )
-
-    # -- persistence ----------------------------------------------------------
-
-    def _save(
-        self,
-        session: TuningSession,
-        strategy: SearchStrategy,
-        completed: bool = False,
-    ) -> None:
-        if self.checkpoint_path is not None:
-            save_checkpoint(self.checkpoint_path, session, strategy, completed)
-
-    @staticmethod
-    def _validate(
-        payload: dict, strategy: SearchStrategy, session: TuningSession
-    ) -> None:
-        expected = {
-            "algorithm": strategy.name,
-            "workflow": session.problem.workflow.name,
-            "objective": session.problem.objective.name,
-            "seed": session.problem.seed,
-            "budget": session.collector.budget_runs,
-        }
-        for key, want in expected.items():
-            got = payload.get(key)
-            if got != want:
-                raise CheckpointError(
-                    f"checkpoint {key} mismatch: checkpoint has {got!r}, "
-                    f"the session was built with {want!r}"
-                )
-
-    @staticmethod
-    def _restore(
-        payload: dict, strategy: SearchStrategy, session: TuningSession
-    ) -> None:
-        session.iteration = payload["iteration"]
-        session.events = list(payload["events"])
-        session.fit_seconds_total = payload["fit_seconds_total"]
-        session.collector.restore_state(payload["collector"])
-        session.rng.bit_generator.state = payload["rng_state"]
-        session.tracker.restore_state(payload["tracker"])
-        strategy.load_state(payload["strategy"], session)
 
 
 def clip_to_budget(batch: Sequence[Configuration], collector) -> list:

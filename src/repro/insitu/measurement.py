@@ -47,7 +47,7 @@ class WorkflowMeasurement:
     tuple (``Configuration = tuple``), regardless of the sequence type
     the caller measured.  Constructors normalise with ``tuple(config)``
     so the stored value hashes, compares, and round-trips through the
-    measurement store and npz pool caches unchanged.
+    measurement store and checkpoints unchanged.
     """
 
     config: Configuration

@@ -7,8 +7,9 @@ available offline, so this package reimplements the relevant model class:
   XGBoost-style second-order gain and L2 leaf regularisation,
 * :class:`~repro.ml.boosting.GradientBoostedTrees` — Newton boosting with
   shrinkage, row/column subsampling, and optional log-target transform,
-* :class:`~repro.ml.forest.RandomForestRegressor` — bagged trees, used by
-  ablations, and
+* :class:`~repro.ml.gaussian_process.GaussianProcessRegressor` and
+  :class:`~repro.ml.neighbors.KNeighborsRegressor` — the BO surrogate and
+  the k-NN model of the ensembles, and
 * :mod:`~repro.ml.metrics` — APE/MdAPE and ranking metrics from §7.2/§7.4.
 
 The regime that matters here is tens of training samples over ~10
@@ -17,9 +18,7 @@ implementations are vectorised with numpy so scoring 2000-configuration
 pools stays fast.
 """
 
-from repro.ml.binning import bin_codes, grow_hist_tree, make_bins
 from repro.ml.boosting import GradientBoostedTrees
-from repro.ml.forest import RandomForestRegressor
 from repro.ml.gaussian_process import GaussianProcessRegressor
 from repro.ml.packed import PackedEnsemble
 from repro.ml.metrics import (
@@ -30,22 +29,15 @@ from repro.ml.metrics import (
 )
 from repro.ml.neighbors import KNeighborsRegressor
 from repro.ml.tree import RegressionTree
-from repro.ml.validation import kfold_indices, train_test_split
 
 __all__ = [
     "GaussianProcessRegressor",
     "GradientBoostedTrees",
     "KNeighborsRegressor",
     "PackedEnsemble",
-    "RandomForestRegressor",
     "RegressionTree",
     "absolute_percentage_errors",
-    "bin_codes",
-    "grow_hist_tree",
-    "kfold_indices",
-    "make_bins",
     "mdape",
     "rmse",
     "top_n_overlap",
-    "train_test_split",
 ]

@@ -2,7 +2,7 @@
 
 These are verbatim copies of the original kernels that the fast layer
 replaced: per-node per-feature argsort tree growth, and Python loops
-over trees for ensemble/forest prediction.  They define the bit-exact
+over trees for ensemble prediction.  They define the bit-exact
 behaviour the vectorized kernels in :mod:`repro.ml.tree` and
 :mod:`repro.ml.packed` must reproduce — ``tests/test_ml_kernels.py``
 compares old vs new across random shapes, and
@@ -20,7 +20,6 @@ __all__ = [
     "reference_fit_gradients",
     "reference_tree_predict",
     "reference_ensemble_predict",
-    "reference_forest_predict",
 ]
 
 _NO_CHILD = -1
@@ -164,12 +163,3 @@ def reference_ensemble_predict(model, X: np.ndarray) -> np.ndarray:
     if model.log_target:
         return np.exp(pred)
     return pred
-
-
-def reference_forest_predict(model, X: np.ndarray) -> np.ndarray:
-    """Tree-at-a-time forest prediction (the original ``predict`` loop)."""
-    X = np.asarray(X, dtype=np.float64)
-    total = np.zeros(X.shape[0])
-    for tree in model._trees:
-        total += reference_tree_predict(tree, X)
-    return total / len(model._trees)

@@ -11,13 +11,8 @@ supports an optional ``log_target`` transform — fitting ``log(y)`` and
 exponentiating predictions — which substantially improves relative-error
 metrics such as MdAPE.
 
-Two tree builders are available: the default ``method="exact"``
-(presorted exact greedy growth, bit-identical to the historical
-implementation) and the opt-in ``method="hist"`` (pre-binned histogram
-growth from :mod:`repro.ml.binning`, for large warm-started training
-sets; splits are restricted to at most ``max_bins`` quantile cuts per
-feature, so its trees — pinned by their own fixtures — differ from
-exact trees).  Either way, the fitted ensemble is packed into a
+Trees grow by presorted exact greedy search (bit-identical to the
+historical implementation), and the fitted ensemble is packed into a
 :class:`~repro.ml.packed.PackedEnsemble` so prediction is one
 vectorized traversal instead of a Python loop over trees.
 """
@@ -30,7 +25,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.ml.packed import PackedEnsemble
-from repro.ml.tree import RegressionTree
+from repro.ml.tree import RegressionTree, _feature_group_ids
 
 __all__ = ["GradientBoostedTrees"]
 
@@ -56,12 +51,6 @@ class GradientBoostedTrees:
         targets); predictions are transformed back.
     random_state:
         Seed for subsampling.
-    method:
-        Tree builder: ``"exact"`` (default, presorted exact greedy) or
-        ``"hist"`` (pre-binned histogram growth; binning happens once
-        per fit and is reused by every round).
-    max_bins:
-        Maximum histogram bins per feature (``method="hist"`` only).
     """
 
     n_estimators: int = 120
@@ -75,8 +64,6 @@ class GradientBoostedTrees:
     colsample: float = 1.0
     log_target: bool = False
     random_state: int | None = None
-    method: str = "exact"
-    max_bins: int = 64
 
     _trees: list = field(init=False, repr=False, default_factory=list)
     _tree_columns: list = field(init=False, repr=False, default_factory=list)
@@ -93,10 +80,6 @@ class GradientBoostedTrees:
             raise ValueError("subsample must be in (0, 1]")
         if not 0 < self.colsample <= 1:
             raise ValueError("colsample must be in (0, 1]")
-        if self.method not in ("exact", "hist"):
-            raise ValueError(f"method must be 'exact' or 'hist', got {self.method!r}")
-        if self.max_bins < 2:
-            raise ValueError("max_bins must be >= 2")
 
     @property
     def is_fitted(self) -> bool:
@@ -126,7 +109,6 @@ class GradientBoostedTrees:
             category="fit",
             samples=n,
             rounds=self.n_estimators,
-            method=self.method,
         ):
             self._fit_rounds(X, target, n, d)
             self._packed = PackedEnsemble.pack(
@@ -148,17 +130,9 @@ class GradientBoostedTrees:
         n_rows = max(1, int(round(self.subsample * n)))
         n_cols = max(1, int(round(self.colsample * d)))
 
-        if self.method == "hist":
-            from repro.ml.binning import bin_codes, make_bins
-
-            cuts = make_bins(X, self.max_bins)
-            codes = bin_codes(X, cuts)
-        else:
-            from repro.ml.tree import _feature_group_ids
-
-            # Presort once per fit; every round's tree sorts integer
-            # rank slices instead of re-ranking float columns.
-            gid = _feature_group_ids(X)
+        # Presort once per fit; every round's tree sorts integer rank
+        # slices instead of re-ranking float columns.
+        gid = _feature_group_ids(X)
 
         # Loop-invariant bases: the hessian of ½(pred − t)² is one for
         # every row of every round, and the identity row/column indices
@@ -178,46 +152,31 @@ class GradientBoostedTrees:
                 if n_cols < d
                 else all_cols
             )
-            if self.method == "hist":
-                from repro.ml.binning import grow_hist_tree
-
-                tree = grow_hist_tree(
-                    codes[np.ix_(rows, cols)],
-                    [cuts[c] for c in cols],
-                    grad[rows],
-                    hess[rows],
-                    max_depth=self.max_depth,
-                    min_samples_leaf=self.min_samples_leaf,
-                    min_child_weight=self.min_child_weight,
-                    reg_lambda=self.reg_lambda,
-                    gamma=self.gamma,
+            tree = RegressionTree(
+                max_depth=self.max_depth,
+                min_samples_leaf=self.min_samples_leaf,
+                min_child_weight=self.min_child_weight,
+                reg_lambda=self.reg_lambda,
+                gamma=self.gamma,
+            )
+            if n_rows == n and n_cols == d:
+                # No subsampling: the np.ix_ slices would be exact
+                # copies, so skip them (identical floats either way).
+                tree.fit_gradients(X, grad, hess, group_ids=gid)
+            elif n_cols == d:
+                # Row subsampling only: plain row gathers pick the same
+                # elements as the np.ix_ outer product, without
+                # materialising the index mesh.
+                tree.fit_gradients(
+                    X[rows], grad[rows], hess[rows], group_ids=gid[rows]
                 )
             else:
-                tree = RegressionTree(
-                    max_depth=self.max_depth,
-                    min_samples_leaf=self.min_samples_leaf,
-                    min_child_weight=self.min_child_weight,
-                    reg_lambda=self.reg_lambda,
-                    gamma=self.gamma,
+                tree.fit_gradients(
+                    X[np.ix_(rows, cols)],
+                    grad[rows],
+                    hess[rows],
+                    group_ids=gid[np.ix_(rows, cols)],
                 )
-                if n_rows == n and n_cols == d:
-                    # No subsampling: the np.ix_ slices would be exact
-                    # copies, so skip them (identical floats either way).
-                    tree.fit_gradients(X, grad, hess, group_ids=gid)
-                elif n_cols == d:
-                    # Row subsampling only: plain row gathers pick the
-                    # same elements as the np.ix_ outer product, without
-                    # materialising the index mesh.
-                    tree.fit_gradients(
-                        X[rows], grad[rows], hess[rows], group_ids=gid[rows]
-                    )
-                else:
-                    tree.fit_gradients(
-                        X[np.ix_(rows, cols)],
-                        grad[rows],
-                        hess[rows],
-                        group_ids=gid[np.ix_(rows, cols)],
-                    )
             update = tree.predict(X if n_cols == d else X[:, cols])
             pred = pred + self.learning_rate * update
             self._trees.append(tree)
@@ -287,6 +246,4 @@ class GradientBoostedTrees:
             colsample=self.colsample,
             log_target=self.log_target,
             random_state=self.random_state,
-            method=self.method,
-            max_bins=self.max_bins,
         )

@@ -7,7 +7,7 @@ boosting objective.  Leaf weight and split gain follow Chen & Guestrin
     w*   = -G / (H + λ)
     gain = ½ [ G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ) ] − γ
 
-Plain least-squares fitting (for random forests and standalone trees) is
+Plain least-squares fitting (standalone trees) is
 the special case ``g = -y``, ``h = 1``, ``λ = 0`` whose leaf weight is the
 mean of ``y``.
 

@@ -6,9 +6,10 @@ ROADMAP item 1.  The package splits into orthogonal layers:
   structured error codes.
 * :mod:`repro.serve.specs` — :class:`SessionSpec`, the JSON recipe a
   session is deterministically rebuilt from.
-* :mod:`repro.serve.sessions` — :class:`SessionRunner` (the driver's
-  cycle split into ask/tell steps) and :class:`SessionManager` (named
-  sessions, LRU eviction to checkpoints, crash recovery).
+* :mod:`repro.serve.sessions` — :class:`SessionRunner` (steps the
+  driver's :class:`~repro.core.driver.TuningRun` one ask/tell request
+  at a time) and :class:`SessionManager` (named sessions, LRU
+  eviction to checkpoints, crash recovery).
 * :mod:`repro.serve.http` — stdlib asyncio JSON-over-HTTP daemon with
   a bounded worker pool and graceful SIGTERM drain.
 * :mod:`repro.serve.client` — blocking keep-alive client.

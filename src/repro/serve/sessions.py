@@ -7,13 +7,13 @@ warm-start — sharing one process, one
 
 Two classes split the work:
 
-* :class:`SessionRunner` re-expresses the
-  :class:`~repro.core.driver.TuningDriver` measurement loop as
-  *stepwise* ``ask``/``tell`` calls so a remote client can sit in the
-  middle of the cycle.  The split preserves the driver's exact order of
-  operations (ask → budget clip → measure → tell → emit → checkpoint),
-  so a session driven through a runner finishes bit-identical to an
-  offline ``algorithm.tune(problem)`` run.
+* :class:`SessionRunner` steps the driver's own
+  :class:`~repro.core.driver.TuningRun` — the only copy of the tuning
+  cycle — one ``ask``/``tell`` request at a time, so a remote client
+  can sit in the middle of the cycle and a served session finishes
+  bit-identical to an offline ``algorithm.tune(problem)`` run by
+  construction.  The runner adds only names, deterministic ask ids and
+  the idempotent pending batch.
 * :class:`SessionManager` owns named runners: creation, LRU
   eviction to checkpoint files, transparent rehydration on next touch,
   crash recovery (re-listing checkpointed sessions at startup), and
@@ -23,7 +23,7 @@ Two classes split the work:
 Eviction discipline
 -------------------
 Checkpoints are written only at *cycle boundaries* (after ``prepare``
-and after every ``tell``), exactly like the driver.  Between an ``ask``
+and after every ``tell``) by the run itself.  Between an ``ask``
 and its ``tell`` the session's RNG has advanced, so re-saving there
 would fork the random stream; instead eviction simply drops the
 in-memory runner and keeps the last boundary checkpoint.  A pending
@@ -49,15 +49,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro import telemetry
-from repro.core.driver import (
-    CheckpointError,
-    TuningSession,
-    checkpoint_payload,
-    load_checkpoint,
-    restore_session,
-    save_checkpoint_payload,
-    validate_checkpoint,
-)
+from repro.core.driver import CheckpointError, TuningRun, load_checkpoint
 from repro.core.problem import AutotuneResult
 from repro.serve.artifacts import ArtifactCache
 from repro.serve.protocol import PROTOCOL_VERSION, ServeError
@@ -83,9 +75,12 @@ def _check_name(name: str) -> str:
 class SessionRunner:
     """One live tuning session, driven stepwise by ask/tell requests.
 
-    The runner reproduces ``TuningDriver._run``'s cycle exactly, split
-    at the ask/measure boundary; see the module docstring for why
-    checkpoints land only on cycle boundaries.
+    A thin adapter over :class:`~repro.core.driver.TuningRun`, which
+    owns the whole cycle.  The runner adds only what serving needs: the
+    session name, the deterministic ask id (``a<cycle>``), the
+    idempotent pending batch, and the hand-off of the run's last
+    boundary checkpoint payload to the snapshot tier; see the module
+    docstring for why checkpoints land only on cycle boundaries.
     """
 
     def __init__(
@@ -93,47 +88,18 @@ class SessionRunner:
     ):
         self.name = name
         self.spec = spec
-        self.checkpoint_path = Path(checkpoint_path)
         algorithm = build_algorithm(spec)
-        self.strategy = algorithm.make_strategy()
-        self.strategy.name = algorithm.name
+        strategy = algorithm.make_strategy()
+        strategy.name = algorithm.name
         artifacts = None if cache is None else cache.problem_artifacts(spec)
-        self.problem = build_problem(spec, store=store, artifacts=artifacts)
+        problem = build_problem(spec, store=store, artifacts=artifacts)
         if cache is not None:
             # Front every deterministic fit of this session with the
             # manager-wide model tier (the store registry, when bound,
             # stays underneath as the persistent layer).
-            self.problem.attach_registry(
-                cache.registry(self.problem.model_registry)
-            )
-        self.session = TuningSession.start(self.problem)
-        self.completed = False
-        self.result: AutotuneResult | None = None
+            problem.attach_registry(cache.registry(problem.model_registry))
+        self.run = TuningRun(strategy, problem, Path(checkpoint_path))
         self._pending: tuple[str, tuple] | None = None
-        #: The payload written by the last boundary checkpoint.  This —
-        #: never the live session, whose RNG may sit mid-ask — is what
-        #: the warm-snapshot tier stashes at eviction, so a snapshot
-        #: restore is state-identical to a disk restore.
-        self._last_payload: dict | None = None
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def start(self) -> None:
-        """Cold-start: the driver's prepare phase plus first checkpoint."""
-        with telemetry.get().span(
-            "serve.session.prepare", category="serve",
-            algorithm=self.strategy.name, workflow=self.spec.workflow,
-        ):
-            if self.problem.warm_start == "full":
-                from repro.store.warmstart import adopt_stored_measurements
-
-                adopted = adopt_stored_measurements(self.session)
-                if adopted:
-                    self.session.annotate(warm_adopted=adopted)
-            self.strategy.prepare(self.session)
-            if self.session.collector.runs_used > 0 or self.session.has_pending:
-                self.session.emit(kind="setup", batch=(), results={})
-        self._save()
 
     @classmethod
     def rehydrate(
@@ -149,9 +115,10 @@ class SessionRunner:
 
         The problem is reconstructed deterministically from the spec,
         then the checkpointed logical state is validated and restored —
-        the same machinery as ``TuningDriver.run(resume=True)``, so the
-        session continues bit-identically.  A missing checkpoint (crash
-        between spec write and first save) cold-starts instead.
+        the same :meth:`~repro.core.driver.TuningRun.restore` as
+        ``TuningDriver.run(resume=True)``, so the session continues
+        bit-identically.  A missing checkpoint (crash between spec write
+        and first save) cold-starts instead.
 
         ``snapshot`` is a still-warm checkpoint payload from the
         manager's snapshot tier: it is byte-equal to what the disk
@@ -161,30 +128,26 @@ class SessionRunner:
         subject to the same validation.
         """
         runner = cls(name, spec, checkpoint_path, store=store, cache=cache)
-        if snapshot is None and not runner.checkpoint_path.exists():
-            runner.start()
+        path = runner.run.checkpoint_path
+        if snapshot is None and not path.exists():
+            runner.run.start()
             return runner
         with telemetry.get().span(
             "serve.session.rehydrate", category="serve",
-            algorithm=runner.strategy.name,
+            algorithm=runner.run.strategy.name,
         ):
-            payload = snapshot
-            if payload is None:
-                payload = load_checkpoint(runner.checkpoint_path)
-            validate_checkpoint(payload, runner.strategy, runner.session)
-            restore_session(payload, runner.strategy, runner.session)
-            runner.completed = bool(payload.get("completed", False))
-            runner._last_payload = payload
+            runner.run.restore(
+                load_checkpoint(path) if snapshot is None else snapshot
+            )
         return runner
 
-    def _save(self, completed: bool = False) -> None:
-        payload = checkpoint_payload(self.session, self.strategy, completed)
-        save_checkpoint_payload(self.checkpoint_path, payload)
-        self._last_payload = payload
-
     def snapshot_payload(self) -> dict | None:
-        """The last boundary checkpoint payload (for the snapshot tier)."""
-        return self._last_payload
+        """The last boundary checkpoint payload (for the snapshot tier).
+
+        Never the live session, whose RNG may sit mid-ask: a snapshot
+        restore is state-identical to a disk restore.
+        """
+        return self.run.last_checkpoint
 
     # -- the stepwise measurement loop ----------------------------------------
 
@@ -195,27 +158,23 @@ class SessionRunner:
         it is told.  An empty proposal finishes the session, exactly as
         it ends the driver's loop.
         """
-        if self.completed:
+        if self.run.completed:
             return self._done_payload()
+        session = self.run.session
         if self._pending is None:
-            with telemetry.get().span("serve.session.ask", category="serve"):
-                batch = [tuple(c) for c in self.strategy.ask(self.session)]
-            remaining = self.session.collector.runs_remaining
-            if not math.isinf(remaining) and len(batch) > remaining:
-                batch = batch[: max(int(remaining), 0)]
+            batch = self.run.ask()
             if not batch:
-                self._finish()
+                self.run.finish()
                 return self._done_payload()
-            self._pending = (f"a{self.session.iteration + 1}", tuple(batch))
+            self._pending = (f"a{session.iteration + 1}", tuple(batch))
         ask_id, batch = self._pending
-        collector = self.session.collector
         return {
             "done": False,
             "ask_id": ask_id,
-            "iteration": self.session.iteration + 1,
+            "iteration": session.iteration + 1,
             "configs": [list(c) for c in batch],
-            "runs_used": collector.runs_used,
-            "budget": collector.budget_runs,
+            "runs_used": session.collector.runs_used,
+            "budget": session.collector.budget_runs,
         }
 
     def tell(self, ask_id) -> dict:
@@ -228,7 +187,7 @@ class SessionRunner:
         a freshly rehydrated session transparently regenerates the ask
         first (see the module docstring).
         """
-        if self.completed:
+        if self.run.completed:
             raise ServeError(
                 "session_completed",
                 f"session {self.name!r} already finished; nothing to tell",
@@ -240,7 +199,7 @@ class SessionRunner:
             # the restored cycle boundary regenerates the identical
             # batch under the identical id.
             self.ask()
-            if self.completed or self._pending is None:
+            if self.run.completed or self._pending is None:
                 raise ServeError(
                     "stale_ask",
                     f"ask id {ask_id!r} was never issued for session "
@@ -253,63 +212,32 @@ class SessionRunner:
                 f"ask id {ask_id!r} is not pending for session "
                 f"{self.name!r} (expected {pending_id!r})",
             )
-        session = self.session
-        with telemetry.get().span(
-            "serve.session.tell", category="serve", batch=len(batch)
-        ):
-            results = session.collector.measure_batch(list(batch))
-            session.iteration += 1
-            self.strategy.tell(session, list(batch), results)
-            event = session.emit(kind="iteration", batch=batch, results=results)
+        event = self.run.tell(batch)
         self._pending = None
-        self._save()
         best = self._best_measured()
         return {
             "done": False,
             "ask_id": ask_id,
             "iteration": event.iteration,
-            "measured": len(results),
+            "measured": len(event.results),
             "failures": event.failures,
             "runs_used": event.runs_used,
             "samples": event.samples,
             "best_value": None if best is None else best[1],
         }
 
-    def _finish(self) -> None:
-        """The driver's finalize block: model, summary, final event."""
-        session = self.session
-        with telemetry.get().span("serve.session.finalize", category="serve"):
-            model = self.strategy.finalize(session)
-            summary = self.strategy.summary(session)
-        if summary or session.has_pending:
-            session.annotate(**summary)
-            session.emit(kind="final", batch=(), results={})
-        self._save(completed=True)
-        self.result = AutotuneResult.from_collector(
-            self.strategy.name, self.problem, model, trace=session.events
-        )
-        self.completed = True
+    def result(self) -> AutotuneResult:
+        """The finished session's result.
 
-    def _ensure_result(self) -> AutotuneResult:
-        """The session's result, refinalizing after a completed restore.
-
-        Refitting on restore is deterministic (same training data, same
-        seeds), so a rehydrated completed session recommends exactly
-        what it did before eviction.  No event is emitted — the
-        restored event log already ends with the final event.
+        A session rehydrated from a completed checkpoint refits its
+        final model deterministically, so it recommends exactly what it
+        did before eviction.
         """
-        if self.result is None:
-            if not self.completed:
-                raise ServeError(
-                    "bad_request",
-                    f"session {self.name!r} has not finished",
-                )
-            model = self.strategy.finalize(self.session)
-            self.result = AutotuneResult.from_collector(
-                self.strategy.name, self.problem, model,
-                trace=self.session.events,
+        if not self.run.completed:
+            raise ServeError(
+                "bad_request", f"session {self.name!r} has not finished"
             )
-        return self.result
+        return self.run.finish()
 
     # -- read-only views ------------------------------------------------------
 
@@ -320,26 +248,26 @@ class SessionRunner:
         independent of dict ordering accidents.
         """
         best = None
-        for config, value in self.session.collector.measured.items():
+        for config, value in self.run.session.collector.measured.items():
             if best is None or value < best[1]:
                 best = (config, value)
         return best
 
     def best(self) -> dict:
         """Best-so-far (always) plus the final recommendation (when done)."""
-        collector = self.session.collector
+        collector = self.run.session.collector
         best = self._best_measured()
         payload = {
             "session": self.name,
-            "completed": self.completed,
+            "completed": self.run.completed,
             "samples": collector.n_measured,
             "runs_used": collector.runs_used,
             "best_config": None if best is None else list(best[0]),
             "best_value": None if best is None else float(best[1]),
         }
-        if self.completed:
-            result = self._ensure_result()
-            pool = self.problem.pool
+        if self.run.completed:
+            result = self.result()
+            pool = self.run.problem.pool
             recommended = result.best_config(pool)
             payload["recommended_config"] = list(recommended)
             payload["recommended_value"] = float(
@@ -349,14 +277,15 @@ class SessionRunner:
         return payload
 
     def status(self) -> dict:
-        collector = self.session.collector
+        session = self.run.session
+        collector = session.collector
         return {
             "session": self.name,
-            "state": "completed" if self.completed else "active",
-            "algorithm": self.strategy.name,
+            "state": "completed" if self.run.completed else "active",
+            "algorithm": self.run.strategy.name,
             "workflow": self.spec.workflow,
             "objective": self.spec.objective,
-            "iteration": self.session.iteration,
+            "iteration": session.iteration,
             "runs_used": collector.runs_used,
             "budget": collector.budget_runs,
             "samples": collector.n_measured,
@@ -573,7 +502,7 @@ class SessionManager:
                 self._spec_path(name),
                 {"spec": spec.as_dict(), "protocol": PROTOCOL_VERSION},
             )
-            runner.start()
+            runner.run.start()
             tel = telemetry.get()
             tel.counter("serve.sessions.created").inc()
             with self._mutex:
@@ -703,7 +632,7 @@ class SessionManager:
     def result(self, name: str) -> AutotuneResult:
         """The finished session's :class:`AutotuneResult` (in-process use)."""
         with self.session(name) as runner:
-            return runner._ensure_result()
+            return runner.result()
 
     def list_sessions(self) -> list[dict]:
         """Light listing: resident sessions report live state, evicted
@@ -717,8 +646,8 @@ class SessionManager:
             if runner is not None:
                 row = {
                     "session": name,
-                    "state": "completed" if runner.completed else "active",
-                    "algorithm": runner.strategy.name,
+                    "state": "completed" if runner.run.completed else "active",
+                    "algorithm": runner.run.strategy.name,
                 }
             else:
                 row = {"session": name, "state": "evicted", "algorithm": None}

@@ -6,7 +6,7 @@ on disk; crash recovery re-lists those files and rebuilds.  Everything
 a :class:`~repro.core.problem.TuningProblem` needs — pool, component
 histories, RNG — is a deterministic function of the spec fields, so a
 rehydrated problem is bit-identical to the one the checkpoint was
-written from (the same property PR 2's ``--resume`` relies on).
+written from (the same property offline ``--resume`` relies on).
 
 The builders here deliberately mirror
 :meth:`repro.core.autotuner.AutoTuner.tune`'s assembly (pool, histories,
@@ -18,7 +18,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 
+from repro.core.algorithms import ALGORITHMS, make_algorithm
+from repro.core.objectives import get_objective
+from repro.core.problem import TuningProblem
 from repro.serve.protocol import ServeError
+from repro.workflows import make_workflow
+from repro.workflows.pools import generate_component_history, generate_pool
 
 __all__ = [
     "ALGORITHMS",
@@ -27,58 +32,6 @@ __all__ = [
     "build_problem",
     "build_problem_artifacts",
 ]
-
-#: One-time imported tuning stack.  The builders below sit on the
-#: daemon's rehydration hot path, so the ``from repro...`` imports are
-#: hoisted out of the per-call bodies into this module-level memo: the
-#: first build pays the import-machinery lookups once, every later
-#: rehydration is a dict access.  Kept lazy (not top-of-module) so that
-#: protocol-only consumers of :mod:`repro.serve` never pull in numpy
-#: and the full core stack.
-_STACK: dict = {}
-
-
-def _stack() -> dict:
-    if not _STACK:
-        from repro.core import (
-            ActiveLearning,
-            Alph,
-            BayesianOptimization,
-            Ceal,
-            CealSettings,
-            Geist,
-            RandomSampling,
-        )
-        from repro.core.algorithms.low_fidelity_only import LowFidelityOnly
-        from repro.core.objectives import get_objective
-        from repro.core.problem import TuningProblem
-        from repro.workflows import make_workflow
-        from repro.workflows.pools import (
-            generate_component_history,
-            generate_pool,
-        )
-
-        _STACK.update(
-            ActiveLearning=ActiveLearning,
-            Alph=Alph,
-            BayesianOptimization=BayesianOptimization,
-            Ceal=Ceal,
-            CealSettings=CealSettings,
-            Geist=Geist,
-            RandomSampling=RandomSampling,
-            LowFidelityOnly=LowFidelityOnly,
-            get_objective=get_objective,
-            TuningProblem=TuningProblem,
-            make_workflow=make_workflow,
-            generate_component_history=generate_component_history,
-            generate_pool=generate_pool,
-        )
-    return _STACK
-
-#: The 8 tuning algorithms a session may request (CLI spelling).
-ALGORITHMS = (
-    "ceal", "rs", "al", "geist", "alph", "bo", "ceal-bo", "lowfid",
-)
 
 _WORKFLOWS = ("LV", "HS", "GP")
 _OBJECTIVES = ("execution_time", "computer_time")
@@ -158,25 +111,10 @@ class SessionSpec:
 
 def build_algorithm(spec: SessionSpec):
     """The spec's tuning algorithm instance (strategy factory)."""
-    stack = _stack()
-    name = spec.algorithm
-    if name == "ceal":
-        return stack["Ceal"](stack["CealSettings"](use_history=spec.use_history))
-    if name == "rs":
-        return stack["RandomSampling"]()
-    if name == "al":
-        return stack["ActiveLearning"]()
-    if name == "geist":
-        return stack["Geist"]()
-    if name == "alph":
-        return stack["Alph"](use_history=spec.use_history)
-    if name == "bo":
-        return stack["BayesianOptimization"]()
-    if name == "ceal-bo":
-        return stack["BayesianOptimization"](bootstrap=True)
-    if name == "lowfid":
-        return stack["LowFidelityOnly"]()
-    raise ServeError("bad_request", f"unknown algorithm {name!r}")
+    try:
+        return make_algorithm(spec.algorithm, use_history=spec.use_history)
+    except ValueError as exc:
+        raise ServeError("bad_request", str(exc)) from None
 
 
 def build_problem_artifacts(spec: SessionSpec):
@@ -187,19 +125,18 @@ def build_problem_artifacts(spec: SessionSpec):
     spec's :func:`~repro.serve.artifacts.spec_key` fields and can be
     shared by reference across sessions.  This is the unit the serve
     layer's problem-artifact cache stores; building it on a miss costs
-    exactly what PR 9's ``build_problem`` paid on every rehydration.
+    what an uncached rehydration pays.
     """
     from repro.serve.artifacts import ProblemArtifacts
 
-    stack = _stack()
-    workflow = stack["make_workflow"](spec.workflow)
-    pool = stack["generate_pool"](
+    workflow = make_workflow(spec.workflow)
+    pool = generate_pool(
         workflow, spec.pool_size, seed=spec.seed, noise_sigma=spec.noise_sigma
     )
     histories = {}
     for label in workflow.labels:
         if workflow.app(label).space.size() > 1:
-            histories[label] = stack["generate_component_history"](
+            histories[label] = generate_component_history(
                 workflow,
                 label,
                 size=spec.history_size,
@@ -219,7 +156,7 @@ def build_problem(spec: SessionSpec, store=None, artifacts=None):
 
     Deterministic given (spec, store contents): the pool and component
     histories are regenerated from the spec's seeds (served from the
-    process/disk caches when warm), exactly as ``AutoTuner.tune`` builds
+    in-process memos when warm), exactly as ``AutoTuner.tune`` builds
     them — which is what makes eviction and crash recovery transparent.
 
     ``artifacts`` (a cached
@@ -229,12 +166,11 @@ def build_problem(spec: SessionSpec, store=None, artifacts=None):
     still assembled fresh here — which is why a cache-served problem is
     bit-identical to a rebuilt one.
     """
-    stack = _stack()
     if artifacts is None:
         artifacts = build_problem_artifacts(spec)
-    return stack["TuningProblem"].create(
+    return TuningProblem.create(
         workflow=artifacts.workflow,
-        objective=stack["get_objective"](spec.objective),
+        objective=get_objective(spec.objective),
         pool=artifacts.pool,
         budget_runs=int(spec.budget),
         seed=int(spec.seed),

@@ -19,7 +19,6 @@ from repro.store.db import (
     StoreError,
 )
 from repro.store.registry import ModelRegistry, training_key
-from repro.store.runtime import get_default_store, set_default_store
 from repro.store.signatures import (
     encoding_signature,
     machine_signature,
@@ -47,9 +46,7 @@ __all__ = [
     "adopt_stored_measurements",
     "component_warm_data",
     "encoding_signature",
-    "get_default_store",
     "machine_signature",
-    "set_default_store",
     "signature",
     "space_signature",
     "training_key",

@@ -15,7 +15,7 @@ This package makes that profile observable end to end::
 
 Instrumented layers: the tuning driver (per-cycle spans with
 ``TuningEvent`` attributes), the collector, model fits
-(boosting/forest), the DES engine's event-loop stats, pool generation
+(boosting), the DES engine's event-loop stats, pool generation
 and its cache, and the parallel trial runner (per-worker hubs captured
 in forked workers and merged back deterministically).
 

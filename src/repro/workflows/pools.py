@@ -12,27 +12,18 @@ Two kinds of pre-measured data back every experiment:
   per component), used to train component models and as historical
   measurements ``D_hist`` in §7.5.
 
-Generation is deterministic given the seed; results are memoised in a
-two-level cache: in process and optionally on disk (``REPRO_CACHE_DIR``).
-The disk layer is safe under concurrent writers — several processes
-(e.g. parallel trial workers, or benchmark shards sharing one cache
-directory) may generate the same pool at once.  Files are written to a
-temporary name and atomically renamed into place, so a reader never
-observes a partial file; a corrupt or truncated cache file (interrupted
-run, disk full) is deleted and regenerated instead of crashing every
-later run.
+Generation is deterministic given the seed and memoised in process
+(a bounded LRU).  Regenerating through the vectorized DES sweep is
+cheap (a 2000-config pool takes a fraction of a second), so nothing is
+cached on disk.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import threading
-import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -50,24 +41,23 @@ __all__ = [
     "pool_size_for",
 ]
 
+
 class _Memo:
     """Thread-safe LRU memo for generated pools/histories.
 
-    Previously a bare unbounded dict: a long-lived serve daemon cycling
-    many distinct specs would pin every pool ever generated.  Capacity
-    is entries, not bytes — pools are the dominant per-entry cost and
-    roughly uniform within a workload — and is env-tunable so sweep
-    drivers that legitimately touch many pools can raise it.
+    Bounded so a long-lived serve daemon cycling many distinct specs
+    does not pin every pool ever generated.  Capacity is entries, not
+    bytes — pools are the dominant per-entry cost and roughly uniform
+    within a workload.
     """
 
-    def __init__(self, env: str, default: int = 128):
-        try:
-            capacity = int(os.environ.get(env, "") or default)
-        except ValueError:
-            capacity = default
-        self.capacity = max(1, capacity)
+    def __init__(self, capacity: int = 128):
+        self.capacity = capacity
         self._lock = threading.Lock()
         self._entries: OrderedDict = OrderedDict()
+
+    # The mapping subset the generators use (``get`` and item
+    # assignment), so a test may swap a memo for a plain dict.
 
     def get(self, key):
         with self._lock:
@@ -76,48 +66,16 @@ class _Memo:
                 self._entries.move_to_end(key)
             return value
 
-    def put(self, key, value) -> None:
+    def __setitem__(self, key, value) -> None:
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
-    # Dict-compatible surface: call sites (and tests that snapshot or
-    # monkeypatch the memos with plain dicts) use mapping syntax.
-
-    def __setitem__(self, key, value) -> None:
-        self.put(key, value)
-
-    def __getitem__(self, key):
-        with self._lock:
-            value = self._entries[key]
-            self._entries.move_to_end(key)
-            return value
-
-    def __contains__(self, key) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def keys(self):
-        with self._lock:
-            return list(self._entries.keys())
-
-    def update(self, other) -> None:
-        for key in other.keys():
-            self.put(key, other[key])
-
-
-_POOL_MEMO = _Memo("REPRO_POOL_MEMO_CAPACITY")
-_HISTORY_MEMO = _Memo("REPRO_HISTORY_MEMO_CAPACITY")
+_POOL_MEMO = _Memo()
+_HISTORY_MEMO = _Memo()
 
 
 def pool_size_for(top_fraction: float, probability: float) -> int:
@@ -198,51 +156,6 @@ class ComponentHistory:
         )
 
 
-def _cache_dir() -> Path | None:
-    raw = os.environ.get("REPRO_CACHE_DIR")
-    if not raw:
-        return None
-    path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _record_cache_provenance(
-    kind: str,
-    cache_file: Path,
-    workflow: WorkflowDefinition,
-    event: str,
-    label: str | None = None,
-    **extra,
-) -> None:
-    """Record a disk-cache event in the default store's metadata table.
-
-    Ties every npz cache file to the space and machine signatures it was
-    generated under, so ``repro store stats`` can audit which cached
-    pools/histories belong to which experimental context.  A no-op
-    without a default store (see :mod:`repro.store.runtime`).
-    """
-    from repro.store.runtime import get_default_store
-
-    store = get_default_store()
-    if store is None:
-        return
-    from repro.store.signatures import machine_signature, space_signature
-
-    space = workflow.app(label).space if label else workflow.space
-    payload = {
-        "kind": kind,
-        "event": event,
-        "workflow": workflow.name,
-        "space_sig": space_signature(space),
-        "machine_sig": machine_signature(workflow.machine),
-        **extra,
-    }
-    if label is not None:
-        payload["label"] = label
-    store.set_metadata(f"cache:{cache_file.name}", payload)
-
-
 def generate_pool(
     workflow: WorkflowDefinition,
     size: int = 2000,
@@ -271,24 +184,6 @@ def generate_pool(
         tel.counter("cache_hits").inc()
         return memoised
 
-    cache = _cache_dir()
-    cache_file = (
-        cache
-        / f"pool_{workflow.name}_{size}_{seed}_{noise_sigma}_{replicates}.npz"
-        if cache
-        else None
-    )
-    if cache_file is not None and cache_file.exists():
-        pool = _load_cached(lambda: _load_pool(workflow, cache_file), cache_file)
-        if pool is not None:
-            tel.counter("cache_hits").inc()
-            _record_cache_provenance(
-                "pool", cache_file, workflow, "hit",
-                size=size, seed=seed, noise_sigma=noise_sigma,
-            )
-            _POOL_MEMO[key] = pool
-            return pool
-
     tel.counter("cache_misses").inc()
     with tel.span(
         "pool.generate", category="pool", workflow=workflow.name, size=size
@@ -313,12 +208,6 @@ def generate_pool(
         )
         pool = MeasuredPool(workflow.name, tuple(configs), measurements)
     _POOL_MEMO[key] = pool
-    if cache_file is not None:
-        _save_pool(pool, cache_file)
-        _record_cache_provenance(
-            "pool", cache_file, workflow, "miss",
-            size=size, seed=seed, noise_sigma=noise_sigma,
-        )
     return pool
 
 
@@ -331,9 +220,8 @@ def generate_component_history(
 ) -> ComponentHistory:
     """Sample and solo-measure ``size`` random component configurations.
 
-    Memoised in process and, when ``REPRO_CACHE_DIR`` is set, on disk —
-    parallel trial workers and repeated driver invocations warm-start
-    from the cache instead of re-running the solo measurements.
+    Deterministic given ``(workflow.name, label, size, seed,
+    noise_sigma)`` and memoised in process.
     """
     tel = telemetry.get()
     key = (workflow.name, label, size, seed, noise_sigma)
@@ -341,24 +229,6 @@ def generate_component_history(
     if memoised is not None:
         tel.counter("cache_hits").inc()
         return memoised
-    cache = _cache_dir()
-    cache_file = (
-        cache / f"history_{workflow.name}_{label}_{size}_{seed}_{noise_sigma}.npz"
-        if cache
-        else None
-    )
-    if cache_file is not None and cache_file.exists():
-        history = _load_cached(
-            lambda: _load_history(workflow, label, cache_file), cache_file
-        )
-        if history is not None:
-            tel.counter("cache_hits").inc()
-            _record_cache_provenance(
-                "history", cache_file, workflow, "hit", label=label,
-                size=size, seed=seed, noise_sigma=noise_sigma,
-            )
-            _HISTORY_MEMO[key] = history
-            return history
     tel.counter("cache_misses").inc()
     with tel.span(
         "history.generate",
@@ -369,12 +239,6 @@ def generate_component_history(
     ):
         history = _generate_history(workflow, label, size, seed, noise_sigma)
     _HISTORY_MEMO[key] = history
-    if cache_file is not None:
-        _save_history(history, cache_file)
-        _record_cache_provenance(
-            "history", cache_file, workflow, "miss", label=label,
-            size=size, seed=seed, noise_sigma=noise_sigma,
-        )
     return history
 
 
@@ -417,116 +281,3 @@ def _generate_history(
         execution_seconds=exec_times,
         computer_core_hours=comp_hours,
     )
-
-
-# -- disk cache ---------------------------------------------------------------------
-
-#: Failure modes of reading a cache file another run truncated or a
-#: newer code version wrote: bad zip container, bad array contents,
-#: missing keys, short reads (``np.load`` reports non-zip garbage as an
-#: unpicklable file).
-_CACHE_LOAD_ERRORS = (
-    zipfile.BadZipFile,
-    pickle.UnpicklingError,
-    ValueError,
-    KeyError,
-    EOFError,
-    OSError,
-)
-
-
-def _atomic_savez(path: Path, **arrays) -> None:
-    """Write an npz so readers only ever see a complete file.
-
-    The payload goes to a pid-suffixed sibling first and is renamed over
-    ``path`` with :func:`os.replace` (atomic within a filesystem), so an
-    interrupted run cannot leave a truncated file under the final name
-    and the last concurrent writer simply wins with identical content.
-    """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _load_cached(loader, path: Path):
-    """Run a cache ``loader``; on corruption, delete the file and return None."""
-    try:
-        return loader()
-    except _CACHE_LOAD_ERRORS:
-        try:
-            path.unlink(missing_ok=True)
-        except OSError:
-            pass
-        return None
-
-
-def _configs_from_array(raw: np.ndarray) -> tuple:
-    return tuple(
-        tuple(int(v) if float(v).is_integer() else float(v) for v in row)
-        for row in raw
-    )
-
-
-def _save_pool(pool: MeasuredPool, path: Path) -> None:
-    configs = np.array([list(c) for c in pool.configs], dtype=np.float64)
-    _atomic_savez(
-        path,
-        configs=configs,
-        execution=np.array([m.execution_seconds for m in pool.measurements]),
-        computer=np.array([m.computer_core_hours for m in pool.measurements]),
-        nodes=np.array([m.nodes for m in pool.measurements]),
-        steps=np.array([m.steps for m in pool.measurements]),
-        component_labels=np.array(
-            sorted(pool.measurements[0].component_seconds), dtype=object
-        ),
-        component_seconds=np.array(
-            [
-                [m.component_seconds[k] for k in sorted(m.component_seconds)]
-                for m in pool.measurements
-            ]
-        ),
-    )
-
-
-def _save_history(history: ComponentHistory, path: Path) -> None:
-    _atomic_savez(
-        path,
-        configs=np.array([list(c) for c in history.configs], dtype=np.float64),
-        execution=history.execution_seconds,
-        computer=history.computer_core_hours,
-    )
-
-
-def _load_history(
-    workflow: WorkflowDefinition, label: str, path: Path
-) -> ComponentHistory:
-    with np.load(path, allow_pickle=False) as data:
-        return ComponentHistory(
-            workflow_name=workflow.name,
-            label=label,
-            configs=_configs_from_array(data["configs"]),
-            execution_seconds=np.array(data["execution"], dtype=np.float64),
-            computer_core_hours=np.array(data["computer"], dtype=np.float64),
-        )
-
-
-def _load_pool(workflow: WorkflowDefinition, path: Path) -> MeasuredPool:
-    data = np.load(path, allow_pickle=True)
-    configs = _configs_from_array(data["configs"])
-    labels = [str(x) for x in data["component_labels"]]
-    measurements = tuple(
-        WorkflowMeasurement(
-            config=configs[i],
-            execution_seconds=float(data["execution"][i]),
-            computer_core_hours=float(data["computer"][i]),
-            component_seconds=dict(zip(labels, data["component_seconds"][i])),
-            nodes=int(data["nodes"][i]),
-            steps=int(data["steps"][i]),
-        )
-        for i in range(len(configs))
-    )
-    return MeasuredPool(workflow.name, configs, measurements)

@@ -134,6 +134,46 @@ class TestResumeDeterminism:
         assert result.best_config(lv_pool) == straight.best_config(lv_pool)
 
 
+class TestResumeCompleted:
+    """Resuming a finished checkpoint refits; it never re-finalizes."""
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            lambda: Ceal(CealSettings(use_history=True)),
+            lambda: ActiveLearning(),
+            lambda: RandomSampling(),
+        ],
+        ids=["ceal", "al", "rs"],
+    )
+    def test_resume_twice_keeps_one_final_event(
+        self, lv, algorithm, tmp_path
+    ):
+        path = tmp_path / "done.ckpt"
+        kwargs = dict(
+            workflow=lv,
+            objective="execution_time",
+            budget=20,
+            pool_size=200,
+            seed=3,
+        )
+        straight = AutoTuner(**kwargs, algorithm=algorithm()).tune()
+        AutoTuner(**kwargs, algorithm=algorithm(), checkpoint_path=path).tune()
+        for _ in range(2):
+            resumed = AutoTuner(
+                **kwargs, algorithm=algorithm(), checkpoint_path=path,
+                resume=True,
+            ).tune()
+        assert comparable(resumed.result) == comparable(straight.result)
+        assert resumed.best_config == straight.best_config
+        events = [
+            e.as_dict(include_timing=False)
+            for e in load_checkpoint(path)["events"]
+        ]
+        assert events == comparable(straight.result)["events"]
+        assert [e["kind"] for e in events].count("final") == 1
+
+
 class TestCheckpointWithStore:
     """``--resume`` + ``--store`` never double-records (DESIGN §10)."""
 

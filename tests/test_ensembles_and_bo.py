@@ -163,3 +163,25 @@ class TestBayesianOptimization:
             result = BayesianOptimization(iterations=4).tune(problem)
             gaps.append(result.best_actual_value(lv_pool) / best)
         assert np.mean(gaps) < 1.3
+
+    def test_algorithms_import_skips_scipy_stats(self):
+        """EI uses ``ndtr`` and a closed-form pdf, not ``scipy.stats``."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, repro.core.algorithms; "
+            "print('scipy.stats' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"

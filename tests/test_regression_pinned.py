@@ -98,7 +98,6 @@ def test_oracle_pool_preserves_pinned_output(lv, lv_pool, lv_histories, monkeypa
     from repro.workflows import pools
 
     monkeypatch.setenv("REPRO_NO_FAST_DES", "1")
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     monkeypatch.setattr(pools, "_POOL_MEMO", {})
     oracle_pool = pools.generate_pool(lv, len(lv_pool), seed=7)
     assert oracle_pool.configs == lv_pool.configs
