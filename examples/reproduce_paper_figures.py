@@ -21,8 +21,8 @@ import argparse
 import time
 
 from repro.experiments import (
-    default_algorithms,
     fig04_lowfid_recall,
+    no_history_specs,
     run_trials,
     summarize,
     table2_best_vs_expert,
@@ -53,7 +53,7 @@ def main() -> None:
     trials = run_trials(
         "LV",
         "computer_time",
-        default_algorithms(),
+        no_history_specs("LV", 25),
         budget=25,
         repeats=args.repeats,
         pool_size=args.pool,

@@ -368,7 +368,7 @@ def _cmd_tune(args, out) -> int:
     from repro.workflows import make_workflow
 
     try:
-        algorithm = make_algorithm(args.algorithm, args.use_history)
+        algorithm = make_algorithm(args.algorithm, use_history=args.use_history)
     except ValueError as exc:
         log.error("%s", exc)
         return 2

@@ -5,6 +5,8 @@ All consume a :class:`~repro.core.problem.TuningProblem` and return an
 :mod:`repro.core.ceal`.
 """
 
+from functools import partial
+
 from repro.core.algorithms.active_learning import ActiveLearning
 from repro.core.algorithms.alph import Alph
 from repro.core.algorithms.bandit import RegionBandit
@@ -35,33 +37,50 @@ __all__ = [
     "split_batches",
 ]
 
-#: Every algorithm kind ``repro tune`` and ``repro serve`` accept.
-ALGORITHMS = ("ceal", "rs", "al", "geist", "alph", "bo", "ceal-bo", "lowfid")
+
+def _ceal(**settings) -> TuningAlgorithm:
+    # repro.core.ceal imports this package, so import it on use.
+    from repro.core.ceal import Ceal, CealSettings
+
+    return Ceal(CealSettings(**settings))
 
 
-def make_algorithm(kind: str, use_history: bool = False) -> TuningAlgorithm:
+#: Constructor of every algorithm kind, keyed by the name ``repro tune``,
+#: served specs and suite factors all use.
+_KINDS = {
+    "ceal": _ceal,
+    "rs": RandomSampling,
+    "al": ActiveLearning,
+    "geist": Geist,
+    "alph": Alph,
+    "bo": BayesianOptimization,
+    "ceal-bo": partial(BayesianOptimization, bootstrap=True),
+    "lowfid": LowFidelityOnly,
+    "bandit": RegionBandit,
+}
+
+#: Every algorithm kind ``repro tune``, ``repro serve`` and suites accept.
+ALGORITHMS = tuple(_KINDS)
+
+#: The kinds that read ``use_history``.
+_HISTORY_KINDS = ("ceal", "alph")
+
+
+def make_algorithm(kind: str, **params) -> TuningAlgorithm:
     """The tuning algorithm named ``kind`` (one of :data:`ALGORITHMS`).
 
-    ``use_history`` treats solo component measurements as free (CEAL
-    and ALpH); the other kinds ignore it.
+    ``params`` are the kind's constructor arguments (CEAL's are the
+    :class:`~repro.core.ceal.CealSettings` fields).  ``use_history``
+    treats solo component measurements as free for CEAL and ALpH; the
+    other kinds ignore it, so a caller may pass one flag to any kind.
+    Omitted parameters keep the constructor's defaults.
     """
-    if kind == "ceal":
-        # repro.core.ceal imports this package, so import it on use.
-        from repro.core.ceal import Ceal, CealSettings
-
-        return Ceal(CealSettings(use_history=use_history))
-    if kind == "rs":
-        return RandomSampling()
-    if kind == "al":
-        return ActiveLearning()
-    if kind == "geist":
-        return Geist()
-    if kind == "alph":
-        return Alph(use_history=use_history)
-    if kind == "bo":
-        return BayesianOptimization()
-    if kind == "ceal-bo":
-        return BayesianOptimization(bootstrap=True)
-    if kind == "lowfid":
-        return LowFidelityOnly()
-    raise ValueError(f"unknown algorithm {kind!r}; expected one of {ALGORITHMS}")
+    try:
+        factory = _KINDS[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown algorithm kind {kind!r}; expected one of {ALGORITHMS}"
+        ) from None
+    if kind not in _HISTORY_KINDS:
+        params.pop("use_history", None)
+    return factory(**params)

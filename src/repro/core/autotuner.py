@@ -19,16 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config.space import Configuration
-from repro.core.ceal import Ceal, CealSettings
+from repro.core.algorithms import make_algorithm
 from repro.core.metrics import recall_curve
 from repro.core.objectives import Objective, get_objective
 from repro.core.problem import AutotuneResult, TuningProblem
 from repro.insitu.workflow import WorkflowDefinition
-from repro.workflows.pools import (
-    MeasuredPool,
-    generate_component_history,
-    generate_pool,
-)
+from repro.workflows.pools import MeasuredPool, problem_artifacts
 
 __all__ = ["AutoTuner", "TuningOutcome"]
 
@@ -118,32 +114,25 @@ class AutoTuner:
         if isinstance(self.objective, str):
             self.objective = get_objective(self.objective)
         if self.algorithm is None:
-            self.algorithm = Ceal(CealSettings(use_history=self.use_history))
+            self.algorithm = make_algorithm("ceal", use_history=self.use_history)
 
     def tune(self) -> TuningOutcome:
         """Run the full collector/modeler/searcher loop."""
-        pool = self.pool or generate_pool(
-            self.workflow, self.pool_size, seed=self.seed, noise_sigma=self.noise_sigma
+        artifacts = problem_artifacts(
+            self.workflow, self.pool_size, self.seed, self.noise_sigma,
+            self.history_size, pool=self.pool,
         )
-        histories = {}
-        for label in self.workflow.labels:
-            if self.workflow.app(label).space.size() > 1:
-                histories[label] = generate_component_history(
-                    self.workflow,
-                    label,
-                    size=self.history_size,
-                    seed=self.seed,
-                    noise_sigma=self.noise_sigma,
-                )
+        pool = artifacts.pool
         problem = TuningProblem.create(
             workflow=self.workflow,
             objective=self.objective,
             pool=pool,
             budget_runs=self.budget,
             seed=self.seed,
-            histories=histories,
+            histories=artifacts.histories,
             store=self.store,
             warm_start=self.warm_start,
+            encoder=artifacts.encoder,
         )
         # Only forward checkpoint options when asked for: user-supplied
         # algorithms may override ``tune(problem)`` without them.

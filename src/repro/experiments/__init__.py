@@ -47,7 +47,6 @@ from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
     AlgorithmSpec,
     TrialMetrics,
-    default_algorithms,
     resolve_jobs,
     run_trials,
     summarize,
@@ -79,7 +78,6 @@ __all__ = [
     "SuiteSpec",
     "TrialMetrics",
     "compile_matrix",
-    "default_algorithms",
     "fig04_lowfid_recall",
     "fig05_best_config",
     "fig06_mdape",

@@ -38,7 +38,7 @@ from repro.experiments.runner import summarize
 from repro.experiments.suite import SuiteGroup, SuiteSpec, run_suite
 from repro.insitu.measurement import measure_workflow
 from repro.workflows.catalog import expert_config, make_workflow
-from repro.workflows.pools import generate_component_history, generate_pool
+from repro.workflows.pools import problem_artifacts
 
 __all__ = [
     "FigureResult",
@@ -149,18 +149,17 @@ def fig04_lowfid_recall(
     tuning algorithms, so it stays a direct driver rather than a suite
     spec.
     """
-    workflow = make_workflow(workflow_name)
-    pool = generate_pool(workflow, pool_size, seed=seed)
-    data = {}
-    for label in workflow.labels:
-        if workflow.app(label).space.size() > 1:
-            history = generate_component_history(workflow, label, seed=seed)
-            data[label] = ComponentBatchData(
-                label,
-                history.configs,
-                history.execution_seconds,
-                history.computer_core_hours,
-            )
+    artifacts = problem_artifacts(workflow_name, pool_size, seed)
+    workflow, pool = artifacts.workflow, artifacts.pool
+    data = {
+        label: ComponentBatchData(
+            label,
+            history.configs,
+            history.execution_seconds,
+            history.computer_core_hours,
+        )
+        for label, history in artifacts.histories.items()
+    }
     result = FigureResult(
         "Fig. 4", f"Low-fidelity recall on {workflow_name} ({pool_size} configs)"
     )

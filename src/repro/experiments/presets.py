@@ -8,34 +8,26 @@ place.
 
 It also owns the *declarative* algorithm layer of the suite engine
 (:mod:`repro.experiments.suite`): an :class:`AlgorithmFactor` names an
-algorithm by registry ``kind`` plus plain-data ``params`` — hashable
-into a suite cell's content key and loadable from a TOML/JSON suite
-spec — and :func:`resolve_algorithm` turns it back into the
-:class:`~repro.experiments.runner.AlgorithmSpec` the trial runner
-executes.  The classic spec tuples the figure drivers share
-(:func:`no_history_specs` / :func:`history_specs`) live here too, built
-through the same registry so the declarative and direct paths cannot
-drift apart.
+algorithm by ``kind`` (one of :data:`~repro.core.algorithms.ALGORITHMS`)
+plus plain-data ``params`` — hashable into a suite cell's content key
+and loadable from a TOML/JSON suite spec — and :func:`resolve_algorithm`
+turns it back into the :class:`~repro.experiments.runner.AlgorithmSpec`
+the trial runner executes, through the same
+:func:`~repro.core.algorithms.make_algorithm` table ``repro tune`` and
+served sessions use.  The classic spec tuples the figure drivers share
+(:func:`no_history_specs` / :func:`history_specs`) live here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 
-from repro.core.algorithms import (
-    ActiveLearning,
-    Alph,
-    BayesianOptimization,
-    Geist,
-    LowFidelityOnly,
-    RandomSampling,
-    RegionBandit,
-)
-from repro.core.ceal import Ceal, CealSettings
+from repro.core.algorithms import ALGORITHMS, make_algorithm
+from repro.core.ceal import CealSettings
 from repro.experiments.runner import AlgorithmSpec
 
 __all__ = [
-    "ALGORITHM_KINDS",
     "AlgorithmFactor",
     "ceal_factor",
     "ceal_settings_for",
@@ -76,6 +68,14 @@ def ceal_settings_for(
 # -- declarative algorithm factors ---------------------------------------------------
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ALGORITHMS:
+        raise ValueError(
+            f"unknown algorithm kind {kind!r}; expected one of "
+            f"{sorted(ALGORITHMS)}"
+        )
+
+
 @dataclass(frozen=True)
 class AlgorithmFactor:
     """One algorithm level of a suite factor, as plain data.
@@ -95,11 +95,7 @@ class AlgorithmFactor:
 
     @classmethod
     def make(cls, name: str, kind: str, **params) -> "AlgorithmFactor":
-        if kind not in ALGORITHM_KINDS:
-            raise ValueError(
-                f"unknown algorithm kind {kind!r}; expected one of "
-                f"{sorted(ALGORITHM_KINDS)}"
-            )
+        _check_kind(kind)
         return cls(name=name, kind=kind, params=tuple(sorted(params.items())))
 
     def param_dict(self) -> dict:
@@ -111,13 +107,22 @@ class AlgorithmFactor:
                 "params": [list(p) for p in self.params]}
 
 
-def _make_ceal(factor: AlgorithmFactor, workflow_name, budget) -> AlgorithmSpec:
-    """CEAL factors: explicit :class:`CealSettings` kwargs, or the tuned
-    per-cell preset when ``preset=True`` (requires the resolution
-    context to supply workflow and budget)."""
+def resolve_algorithm(
+    factor: AlgorithmFactor,
+    workflow_name: str | None = None,
+    budget: int | None = None,
+) -> AlgorithmSpec:
+    """Resolve a declarative factor into an executable algorithm spec.
+
+    The factory calls :func:`~repro.core.algorithms.make_algorithm` with
+    the factor's kind and params.  ``workflow_name`` and ``budget`` are
+    the resolution context of a CEAL factor with ``preset=True``, whose
+    settings are :func:`ceal_settings_for` its cell.
+    """
+    _check_kind(factor.kind)
     params = factor.param_dict()
-    use_history = bool(params.pop("use_history", False))
-    if params.pop("preset", False):
+    if factor.kind == "ceal" and params.pop("preset", False):
+        use_history = bool(params.pop("use_history", False))
         if params:
             raise ValueError(
                 f"CEAL factor {factor.name!r}: preset=True does not combine "
@@ -128,67 +133,10 @@ def _make_ceal(factor: AlgorithmFactor, workflow_name, budget) -> AlgorithmSpec:
                 f"CEAL factor {factor.name!r} uses preset=True, which needs "
                 "a (workflow, budget) resolution context"
             )
-        settings = ceal_settings_for(workflow_name, budget, use_history)
-    else:
-        settings = CealSettings(use_history=use_history, **params)
+        params = asdict(ceal_settings_for(workflow_name, budget, use_history))
     return AlgorithmSpec(
-        factor.name,
-        lambda settings=settings: Ceal(settings),
-        needs_history=use_history,
+        factor.name, partial(make_algorithm, factor.kind, **params)
     )
-
-
-def _make_simple(cls):
-    def build(factor: AlgorithmFactor, workflow_name, budget) -> AlgorithmSpec:
-        params = factor.param_dict()
-        return AlgorithmSpec(
-            factor.name, lambda params=params: cls(**params),
-            needs_history=bool(params.get("use_history", False)),
-        )
-
-    return build
-
-
-#: Registry of declarative algorithm kinds (the CLI's ``--algorithm``
-#: names plus the extended catalog).  Values build an ``AlgorithmSpec``
-#: from ``(factor, workflow_name, budget)``.
-ALGORITHM_KINDS: dict = {
-    "rs": _make_simple(RandomSampling),
-    "geist": _make_simple(Geist),
-    "al": _make_simple(ActiveLearning),
-    "ceal": _make_ceal,
-    "alph": _make_simple(Alph),
-    "bandit": _make_simple(RegionBandit),
-    "bo": _make_simple(BayesianOptimization),
-    "ceal-bo": lambda factor, w, b: AlgorithmSpec(
-        factor.name,
-        lambda params=factor.param_dict(): BayesianOptimization(
-            bootstrap=True, **params
-        ),
-    ),
-    "lowfid": _make_simple(LowFidelityOnly),
-}
-
-
-def resolve_algorithm(
-    factor: AlgorithmFactor,
-    workflow_name: str | None = None,
-    budget: int | None = None,
-) -> AlgorithmSpec:
-    """Resolve a declarative factor into an executable algorithm spec.
-
-    ``workflow_name`` and ``budget`` are the resolution context for
-    per-cell presets (a CEAL factor with ``preset=True`` selects
-    :func:`ceal_settings_for` of its cell).
-    """
-    try:
-        build = ALGORITHM_KINDS[factor.kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm kind {factor.kind!r}; expected one of "
-            f"{sorted(ALGORITHM_KINDS)}"
-        ) from None
-    return build(factor, workflow_name, budget)
 
 
 def ceal_factor(

@@ -37,21 +37,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
-from repro.core.algorithms import ActiveLearning, Geist, RandomSampling
-from repro.core.ceal import Ceal, CealSettings
 from repro.core.metrics import mdape_on_top_fraction, recall_curve
 from repro.core.objectives import Objective, get_objective
 from repro.core.problem import TuningProblem
 from repro.insitu.workflow import WorkflowDefinition
-from repro.workflows.catalog import make_workflow
-from repro.workflows.pools import generate_component_history, generate_pool
+from repro.workflows.pools import ProblemArtifacts, problem_artifacts
 
 __all__ = [
     "AlgorithmSpec",
     "SUMMARY_PERCENTILES",
     "TrialMetrics",
     "build_trial_context",
-    "default_algorithms",
     "fanout",
     "hash_name",
     "resolve_jobs",
@@ -67,21 +63,6 @@ class AlgorithmSpec:
 
     name: str
     factory: Callable[[], object]
-    needs_history: bool = False
-
-
-def default_algorithms(with_history: bool = False) -> tuple[AlgorithmSpec, ...]:
-    """The §7.4 comparison set: RS, GEIST, AL, CEAL."""
-    return (
-        AlgorithmSpec("RS", RandomSampling),
-        AlgorithmSpec("GEIST", Geist),
-        AlgorithmSpec("AL", ActiveLearning),
-        AlgorithmSpec(
-            "CEAL",
-            lambda: Ceal(CealSettings(use_history=with_history)),
-            needs_history=with_history,
-        ),
-    )
 
 
 @dataclass
@@ -289,12 +270,10 @@ def _fanout_serial(worker, context, n_tasks: int, tel, on_complete=None) -> list
 class _TrialContext:
     """Everything one trial needs, shared across workers by fork."""
 
-    workflow: WorkflowDefinition
+    artifacts: ProblemArtifacts
     objective: Objective
-    pool: object
     truth: np.ndarray
     pool_best: float
-    histories: dict
     budget: int
     failure_rate: float
     recall_max_n: int
@@ -307,16 +286,19 @@ def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
     spec, rep, seed = ctx.tasks[index]
     started = time.perf_counter()
     tel = telemetry.get()
+    artifacts = ctx.artifacts
+    pool = artifacts.pool
     problem = TuningProblem.create(
-        workflow=ctx.workflow,
+        workflow=artifacts.workflow,
         objective=ctx.objective,
-        pool=ctx.pool,
+        pool=pool,
         budget_runs=ctx.budget,
         seed=seed,
-        histories=ctx.histories,
+        histories=artifacts.histories,
         failure_rate=ctx.failure_rate,
         store=ctx.store,
         warm_start=ctx.warm_start,
+        encoder=artifacts.encoder,
     )
     if problem.store is not None:
         # Distinguish repeats in provenance: (seed, repeat) keys the
@@ -336,18 +318,18 @@ def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
         tel.counter("trials_run").inc()
         rank_started = time.perf_counter()
         with tel.span(
-            "runner.rank_pool", category="runner", pool=len(ctx.pool)
+            "runner.rank_pool", category="runner", pool=len(pool)
         ):
-            scores = result.predict_pool(ctx.pool)
+            scores = result.predict_pool(pool)
         tel.histogram("pool_rank_seconds").observe(
             time.perf_counter() - rank_started
         )
     else:
-        scores = result.predict_pool(ctx.pool)
-    best_value = result.best_actual_value(ctx.pool)
+        scores = result.predict_pool(pool)
+    best_value = result.best_actual_value(pool)
     return TrialMetrics(
         algorithm=spec.name,
-        workflow=ctx.workflow.name,
+        workflow=artifacts.workflow.name,
         objective=ctx.objective.name,
         budget=ctx.budget,
         seed=seed,
@@ -375,7 +357,6 @@ def run_trials(
     pool_seed: int = 2021,
     noise_sigma: float = 0.05,
     history_size: int = 500,
-    with_history: bool = True,
     recall_max_n: int = 10,
     failure_rate: float = 0.0,
     jobs: int | str | None = None,
@@ -387,9 +368,7 @@ def run_trials(
     Histories are always generated and attached (they are the §7.1
     component measurement sets the collector draws *paid* component runs
     from).  Whether an algorithm may read them for free is the
-    algorithm's own ``use_history`` setting; the ``with_history``
-    argument here only selects which algorithm defaults the caller
-    intends and is kept for the figure drivers' readability.
+    algorithm's own ``use_history`` setting.
 
     ``jobs`` fans the (algorithm, repeat) trials out across that many
     worker processes (``"auto"`` / ``<= 0`` = one per CPU; default
@@ -441,16 +420,15 @@ def build_trial_context(
 ) -> _TrialContext:
     """Materialise the shared state of one trial batch.
 
-    Generates (or recalls from the memo/disk cache) the measured pool
-    and component histories, resolves names to objects, and packages
+    Builds the measured pool and component histories with
+    :func:`~repro.workflows.pools.problem_artifacts`, resolves names to
+    objects, and packages
     everything a :func:`fanout` worker needs.  ``tasks`` is the serial
     ``(spec, rep, seed)`` list; :func:`run_trials` derives it from its
     algorithm grid, while the suite engine
     (:mod:`repro.experiments.suite`) passes only the *pending* cells of
     a resumed matrix.
     """
-    if isinstance(workflow, str):
-        workflow = make_workflow(workflow)
     if store is not None:
         from repro.store.db import MeasurementStore
 
@@ -459,25 +437,15 @@ def build_trial_context(
     objective = (
         get_objective(objective) if isinstance(objective, str) else objective
     )
-    pool = generate_pool(workflow, pool_size, seed=pool_seed, noise_sigma=noise_sigma)
-    truth = pool.objective_values(objective.name)
-    pool_best = float(truth.min())
-
-    histories = {}
-    for label in workflow.labels:
-        if workflow.app(label).space.size() > 1:
-            histories[label] = generate_component_history(
-                workflow, label, size=history_size, seed=pool_seed,
-                noise_sigma=noise_sigma,
-            )
-
+    artifacts = problem_artifacts(
+        workflow, pool_size, pool_seed, noise_sigma, history_size
+    )
+    truth = artifacts.pool.objective_values(objective.name)
     return _TrialContext(
-        workflow=workflow,
+        artifacts=artifacts,
         objective=objective,
-        pool=pool,
         truth=truth,
-        pool_best=pool_best,
-        histories=histories,
+        pool_best=float(truth.min()),
         budget=budget,
         failure_rate=failure_rate,
         recall_max_n=recall_max_n,

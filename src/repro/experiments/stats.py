@@ -92,9 +92,8 @@ def paired_permutation_test(
         return {"mean_diff": observed, "p": 1.0, "n": n, "exact": True}
     if n <= 20:
         # All 2^n sign assignments, exactly.
-        signs = np.array(
-            [[1.0 if (m >> k) & 1 else -1.0 for k in range(n)]
-             for m in range(1 << n)]
+        signs = np.where(
+            (np.arange(1 << n)[:, None] >> np.arange(n)) & 1, 1.0, -1.0
         )
         exact = True
     else:

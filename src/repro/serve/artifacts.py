@@ -44,20 +44,13 @@ behaviour byte for byte (proven by the kill-switch tests).
 from __future__ import annotations
 
 import os
-import sys
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
 
-import numpy as np
-
-from repro import telemetry
+from repro.cache import LruCache
+from repro.workflows.pools import ProblemArtifacts, problem_artifacts
 
 __all__ = [
     "ArtifactCache",
     "CachingModelRegistry",
-    "LruCache",
-    "ProblemArtifacts",
     "cache_enabled",
     "spec_key",
 ]
@@ -71,8 +64,8 @@ def cache_enabled() -> bool:
 def spec_key(spec) -> tuple:
     """The deterministic-artifact key of a session spec.
 
-    Exactly the fields :func:`repro.serve.specs.build_problem_artifacts`
-    depends on: two specs that agree here rebuild bit-identical pools,
+    Exactly the arguments of
+    :func:`repro.workflows.pools.problem_artifacts`, in order: two specs that agree here rebuild bit-identical pools,
     histories, workflows and encoders, so their sessions may share one
     artifact bundle by reference.  (``budget``, ``algorithm``,
     ``objective`` etc. shape the *mutable* problem state, which is
@@ -85,171 +78,6 @@ def spec_key(spec) -> tuple:
         float(spec.noise_sigma),
         int(spec.history_size),
     )
-
-
-def _approx_nbytes(obj, depth: int = 3) -> int:
-    """Cheap, bounded-depth size estimate for cache accounting.
-
-    Exact numpy ``nbytes`` where available (arrays dominate every
-    artifact), shallow container recursion elsewhere.  This feeds
-    byte *gauges*, not eviction decisions — eviction is entry-count
-    LRU — so an estimate is all that is needed.
-    """
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    nbytes = getattr(obj, "nbytes", None)
-    if isinstance(nbytes, (int, np.integer)):
-        return int(nbytes)
-    if depth <= 0:
-        return sys.getsizeof(obj, 64)
-    if isinstance(obj, dict):
-        return sys.getsizeof(obj) + sum(
-            _approx_nbytes(v, depth - 1) for v in obj.values()
-        )
-    if isinstance(obj, (list, tuple)):
-        total = sys.getsizeof(obj)
-        for item in obj[:256]:
-            total += _approx_nbytes(item, depth - 1)
-        return total
-    fields = getattr(obj, "__dict__", None)
-    if isinstance(fields, dict):
-        return sys.getsizeof(obj, 64) + _approx_nbytes(fields, depth - 1)
-    return sys.getsizeof(obj, 64)
-
-
-class LruCache:
-    """Thread-safe, capacity-bounded LRU mapping with telemetry.
-
-    ``name`` scopes the counters: ``serve.cache.<name>.hits`` /
-    ``.misses`` / ``.evictions`` and the ``serve.cache.<name>.bytes``
-    max-gauge.  ``enabled=False`` turns every operation into a no-op
-    miss — the kill-switch path — so callers never branch.
-    """
-
-    def __init__(self, name: str, capacity: int, enabled: bool = True):
-        self.name = name
-        self.capacity = max(1, int(capacity))
-        self.enabled = bool(enabled)
-        self._lock = threading.Lock()
-        self._entries: OrderedDict = OrderedDict()
-        self._bytes: dict = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    _MISSING = object()
-
-    def get(self, key, default=None):
-        if not self.enabled:
-            self.misses += 1
-            telemetry.get().counter(f"serve.cache.{self.name}.misses").inc()
-            return default
-        with self._lock:
-            value = self._entries.get(key, self._MISSING)
-            if value is self._MISSING:
-                self.misses += 1
-                hit = False
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                hit = True
-        tel = telemetry.get()
-        if hit:
-            tel.counter(f"serve.cache.{self.name}.hits").inc()
-            return value
-        tel.counter(f"serve.cache.{self.name}.misses").inc()
-        return default
-
-    def put(self, key, value) -> None:
-        if not self.enabled:
-            return
-        size = _approx_nbytes(value)
-        evicted = 0
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            self._bytes[key] = size
-            while len(self._entries) > self.capacity:
-                old_key, _ = self._entries.popitem(last=False)
-                self._bytes.pop(old_key, None)
-                evicted += 1
-            self.evictions += evicted
-            total = sum(self._bytes.values())
-        tel = telemetry.get()
-        if evicted:
-            tel.counter(f"serve.cache.{self.name}.evictions").inc(evicted)
-        tel.gauge(f"serve.cache.{self.name}.bytes").set_max(total)
-
-    def pop(self, key, default=None):
-        """Remove and return ``key`` (no hit/miss accounting)."""
-        with self._lock:
-            self._bytes.pop(key, None)
-            return self._entries.pop(key, default)
-
-    def take(self, key, default=None):
-        """Consume ``key``: a counted get that removes the entry on hit."""
-        if not self.enabled:
-            self.misses += 1
-            telemetry.get().counter(f"serve.cache.{self.name}.misses").inc()
-            return default
-        with self._lock:
-            value = self._entries.pop(key, self._MISSING)
-            self._bytes.pop(key, None)
-            if value is self._MISSING:
-                self.misses += 1
-                hit = False
-            else:
-                self.hits += 1
-                hit = True
-        tel = telemetry.get()
-        if hit:
-            tel.counter(f"serve.cache.{self.name}.hits").inc()
-            return value
-        tel.counter(f"serve.cache.{self.name}.misses").inc()
-        return default
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> dict:
-        with self._lock:
-            entries = len(self._entries)
-            total = sum(self._bytes.values())
-        lookups = self.hits + self.misses
-        return {
-            "enabled": self.enabled,
-            "entries": entries,
-            "capacity": self.capacity,
-            "bytes": total,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_ratio": round(self.hits / lookups, 4) if lookups else 0.0,
-        }
-
-
-@dataclass(frozen=True)
-class ProblemArtifacts:
-    """The immutable, shareable part of a session's tuning problem.
-
-    Everything here is a deterministic function of the
-    :func:`spec_key` fields and is never mutated after construction
-    (pools/histories are frozen dataclasses over arrays; the workflow
-    definition and encoder only memoise deterministic derived values),
-    so handing the same bundle to many concurrent sessions is
-    bit-identical to rebuilding it per session.
-    """
-
-    workflow: object
-    pool: object
-    histories: dict
-    encoder: object
 
 
 class CachingModelRegistry:
@@ -311,18 +139,17 @@ class ArtifactCache:
     def problem_artifacts(self, spec) -> ProblemArtifacts:
         """The shared artifact bundle for ``spec`` (built on miss).
 
-        Misses pay exactly the PR 9 rebuild cost once; every later
+        Misses build the bundle with
+        :func:`~repro.workflows.pools.problem_artifacts` (the same
+        builder ``AutoTuner`` and the suite runner use); every later
         session or rehydration with an equal :func:`spec_key` is a
         dictionary hit returning the same immutable bundle.
         """
-        from repro.serve.specs import build_problem_artifacts
-
         key = spec_key(spec)
         artifacts = self.problems.get(key)
-        if artifacts is not None:
-            return artifacts
-        artifacts = build_problem_artifacts(spec)
-        self.problems.put(key, artifacts)
+        if artifacts is None:
+            artifacts = problem_artifacts(*key)
+            self.problems.put(key, artifacts)
         return artifacts
 
     # -- tier 2: fitted models ------------------------------------------------

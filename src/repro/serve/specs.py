@@ -8,10 +8,12 @@ histories, RNG — is a deterministic function of the spec fields, so a
 rehydrated problem is bit-identical to the one the checkpoint was
 written from (the same property offline ``--resume`` relies on).
 
-The builders here deliberately mirror
-:meth:`repro.core.autotuner.AutoTuner.tune`'s assembly (pool, histories,
-problem) so a session driven through the server matches an offline
-``algorithm.tune(problem)`` run bit for bit.
+The builders here share their parts with
+:meth:`repro.core.autotuner.AutoTuner.tune`: the same
+:func:`~repro.workflows.pools.problem_artifacts` bundle and the same
+:func:`~repro.core.algorithms.make_algorithm` table, so a session driven
+through the server matches an offline ``algorithm.tune(problem)`` run
+bit for bit.
 """
 
 from __future__ import annotations
@@ -21,16 +23,15 @@ from dataclasses import asdict, dataclass, fields
 from repro.core.algorithms import ALGORITHMS, make_algorithm
 from repro.core.objectives import get_objective
 from repro.core.problem import TuningProblem
+from repro.serve.artifacts import spec_key
 from repro.serve.protocol import ServeError
-from repro.workflows import make_workflow
-from repro.workflows.pools import generate_component_history, generate_pool
+from repro.workflows.pools import problem_artifacts
 
 __all__ = [
     "ALGORITHMS",
     "SessionSpec",
     "build_algorithm",
     "build_problem",
-    "build_problem_artifacts",
 ]
 
 _WORKFLOWS = ("LV", "HS", "GP")
@@ -117,57 +118,24 @@ def build_algorithm(spec: SessionSpec):
         raise ServeError("bad_request", str(exc)) from None
 
 
-def build_problem_artifacts(spec: SessionSpec):
-    """The deterministic, immutable artifacts behind a spec's problem.
-
-    Workflow definition, measured pool, component histories, and the
-    ML feature encoder — everything that is a pure function of the
-    spec's :func:`~repro.serve.artifacts.spec_key` fields and can be
-    shared by reference across sessions.  This is the unit the serve
-    layer's problem-artifact cache stores; building it on a miss costs
-    what an uncached rehydration pays.
-    """
-    from repro.serve.artifacts import ProblemArtifacts
-
-    workflow = make_workflow(spec.workflow)
-    pool = generate_pool(
-        workflow, spec.pool_size, seed=spec.seed, noise_sigma=spec.noise_sigma
-    )
-    histories = {}
-    for label in workflow.labels:
-        if workflow.app(label).space.size() > 1:
-            histories[label] = generate_component_history(
-                workflow,
-                label,
-                size=spec.history_size,
-                seed=spec.seed,
-                noise_sigma=spec.noise_sigma,
-            )
-    return ProblemArtifacts(
-        workflow=workflow,
-        pool=pool,
-        histories=histories,
-        encoder=workflow.encoder(),
-    )
-
-
 def build_problem(spec: SessionSpec, store=None, artifacts=None):
     """A fresh :class:`~repro.core.problem.TuningProblem` for ``spec``.
 
     Deterministic given (spec, store contents): the pool and component
-    histories are regenerated from the spec's seeds (served from the
-    in-process memos when warm), exactly as ``AutoTuner.tune`` builds
-    them — which is what makes eviction and crash recovery transparent.
+    histories come from :func:`~repro.workflows.pools.problem_artifacts`
+    with the spec's :func:`~repro.serve.artifacts.spec_key` fields,
+    exactly as ``AutoTuner.tune`` builds them — which is what makes
+    eviction and crash recovery transparent.
 
     ``artifacts`` (a cached
-    :class:`~repro.serve.artifacts.ProblemArtifacts` bundle) skips the
-    regeneration entirely: the immutable pieces are shared by
-    reference, while the mutable problem state (collector, RNG) is
-    still assembled fresh here — which is why a cache-served problem is
-    bit-identical to a rebuilt one.
+    :class:`~repro.workflows.pools.ProblemArtifacts` bundle) skips the
+    rebuild: the immutable pieces are shared by reference, while the
+    mutable problem state (collector, RNG) is still assembled fresh
+    here — which is why a cache-served problem is bit-identical to a
+    rebuilt one.
     """
     if artifacts is None:
-        artifacts = build_problem_artifacts(spec)
+        artifacts = problem_artifacts(*spec_key(spec))
     return TuningProblem.create(
         workflow=artifacts.workflow,
         objective=get_objective(spec.objective),

@@ -12,8 +12,14 @@ Two kinds of pre-measured data back every experiment:
   per component), used to train component models and as historical
   measurements ``D_hist`` in §7.5.
 
+:func:`problem_artifacts` bundles one pool, the histories of every
+configurable component and a feature encoder: the inputs every tuning
+problem is built from, whether by ``AutoTuner``, a served session or a
+suite trial.
+
 Generation is deterministic given the seed and memoised in process
-(a bounded LRU).  Regenerating through the vectorized DES sweep is
+(a bounded :class:`~repro.cache.LruCache` each for pools and
+histories).  Regenerating through the vectorized DES sweep is
 cheap (a 2000-config pool takes a fraction of a second), so nothing is
 cached on disk.
 """
@@ -21,61 +27,36 @@ cached on disk.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import telemetry
+from repro.cache import LruCache
+from repro.config.encoding import ConfigEncoder
 from repro.config.space import Configuration
 from repro.insitu.fast import measure_batch
 from repro.insitu.measurement import WorkflowMeasurement, stable_seed
 from repro.insitu.workflow import WorkflowDefinition
+from repro.workflows.catalog import make_workflow
 
 __all__ = [
     "MeasuredPool",
     "ComponentHistory",
+    "ProblemArtifacts",
     "generate_pool",
     "generate_component_history",
     "pool_size_for",
+    "problem_artifacts",
 ]
 
 
-class _Memo:
-    """Thread-safe LRU memo for generated pools/histories.
-
-    Bounded so a long-lived serve daemon cycling many distinct specs
-    does not pin every pool ever generated.  Capacity is entries, not
-    bytes — pools are the dominant per-entry cost and roughly uniform
-    within a workload.
-    """
-
-    def __init__(self, capacity: int = 128):
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict = OrderedDict()
-
-    # The mapping subset the generators use (``get`` and item
-    # assignment), so a test may swap a memo for a plain dict.
-
-    def get(self, key):
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-            return value
-
-    def __setitem__(self, key, value) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-
-_POOL_MEMO = _Memo()
-_HISTORY_MEMO = _Memo()
+#: Generated pools and histories, LRU-bounded so a long-lived serve
+#: daemon cycling many distinct specs does not pin every pool ever
+#: generated.  Capacity is entries, not bytes: pools dominate the
+#: per-entry cost and are roughly uniform within a workload.
+_POOL_MEMO = LruCache("pool", 128, prefix="workflows.cache")
+_HISTORY_MEMO = LruCache("history", 128, prefix="workflows.cache")
 
 
 def pool_size_for(top_fraction: float, probability: float) -> int:
@@ -177,15 +158,11 @@ def generate_pool(
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    tel = telemetry.get()
     key = (workflow.name, size, seed, noise_sigma, replicates)
     memoised = _POOL_MEMO.get(key)
     if memoised is not None:
-        tel.counter("cache_hits").inc()
         return memoised
-
-    tel.counter("cache_misses").inc()
-    with tel.span(
+    with telemetry.get().span(
         "pool.generate", category="pool", workflow=workflow.name, size=size
     ):
         rng = np.random.default_rng(
@@ -207,7 +184,7 @@ def generate_pool(
             )
         )
         pool = MeasuredPool(workflow.name, tuple(configs), measurements)
-    _POOL_MEMO[key] = pool
+    _POOL_MEMO.put(key, pool)
     return pool
 
 
@@ -223,14 +200,11 @@ def generate_component_history(
     Deterministic given ``(workflow.name, label, size, seed,
     noise_sigma)`` and memoised in process.
     """
-    tel = telemetry.get()
     key = (workflow.name, label, size, seed, noise_sigma)
     memoised = _HISTORY_MEMO.get(key)
     if memoised is not None:
-        tel.counter("cache_hits").inc()
         return memoised
-    tel.counter("cache_misses").inc()
-    with tel.span(
+    with telemetry.get().span(
         "history.generate",
         category="pool",
         workflow=workflow.name,
@@ -238,7 +212,7 @@ def generate_component_history(
         size=size,
     ):
         history = _generate_history(workflow, label, size, seed, noise_sigma)
-    _HISTORY_MEMO[key] = history
+    _HISTORY_MEMO.put(key, history)
     return history
 
 
@@ -281,3 +255,54 @@ def _generate_history(
         execution_seconds=exec_times,
         computer_core_hours=comp_hours,
     )
+
+
+@dataclass(frozen=True)
+class ProblemArtifacts:
+    """The immutable, shareable inputs of a tuning problem.
+
+    Everything here is a deterministic function of
+    :func:`problem_artifacts`' arguments and is never mutated after
+    construction (pools and histories are frozen dataclasses over
+    arrays; the workflow definition and encoder only memoise
+    deterministic derived values), so handing one bundle to many
+    problems is bit-identical to rebuilding it per problem.
+    """
+
+    workflow: WorkflowDefinition
+    pool: MeasuredPool
+    histories: dict
+    encoder: ConfigEncoder
+
+
+def problem_artifacts(
+    workflow: WorkflowDefinition | str,
+    pool_size: int,
+    seed: int,
+    noise_sigma: float = 0.05,
+    history_size: int = 500,
+    *,
+    pool: MeasuredPool | None = None,
+) -> ProblemArtifacts:
+    """Pool, component histories and encoder of one tuning problem.
+
+    The §7.1 protocol's inputs: ``pool_size`` random feasible
+    configurations plus ``history_size`` solo runs of every component
+    with more than one configuration, all drawn from ``seed``.
+    ``workflow`` is a definition or a catalog name; ``pool`` replaces
+    the generated pool with a prebuilt one.  Pools and histories come
+    from the in-process memos, so equal arguments share the same
+    objects; the bundle and its encoder are new on every call.
+    """
+    if isinstance(workflow, str):
+        workflow = make_workflow(workflow)
+    if pool is None:
+        pool = generate_pool(workflow, pool_size, seed, noise_sigma)
+    histories = {
+        label: generate_component_history(
+            workflow, label, history_size, seed, noise_sigma
+        )
+        for label in workflow.labels
+        if workflow.app(label).space.size() > 1
+    }
+    return ProblemArtifacts(workflow, pool, histories, workflow.encoder())

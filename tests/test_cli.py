@@ -104,22 +104,23 @@ class TestTuneCommand:
     def test_tune_accepts_every_served_algorithm(self):
         from repro.serve.specs import ALGORITHMS
 
-        out = io.StringIO()
-        code = main(
-            [
-                "tune",
-                "--workflow", "LV",
-                "--objective", "execution_time",
-                "--budget", "8",
-                "--pool-size", "100",
-                "--algorithm", "lowfid",
-                "--seed", "7",
-            ],
-            out=out,
-        )
-        assert code == 0
-        assert "algorithm     : lowfid" in out.getvalue()
-        assert "lowfid" in ALGORITHMS
+        for kind in ("lowfid", "bandit"):
+            out = io.StringIO()
+            code = main(
+                [
+                    "tune",
+                    "--workflow", "LV",
+                    "--objective", "execution_time",
+                    "--budget", "8",
+                    "--pool-size", "100",
+                    "--algorithm", kind,
+                    "--seed", "7",
+                ],
+                out=out,
+            )
+            assert code == 0
+            assert f"algorithm     : {kind}" in out.getvalue()
+            assert kind in ALGORITHMS
 
     def test_tune_rejects_unknown_algorithm(self):
         assert main(["tune", "--algorithm", "sideways"], out=io.StringIO()) == 2

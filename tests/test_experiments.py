@@ -14,7 +14,6 @@ from repro.experiments import (
     table2_best_vs_expert,
 )
 from repro.experiments.presets import ceal_settings_for
-from repro.experiments.runner import default_algorithms
 
 
 SPECS = (AlgorithmSpec("RS", RandomSampling),)
@@ -54,10 +53,6 @@ class TestRunner:
         assert summary["RS"]["normalized"] == pytest.approx(
             np.mean([t.normalized for t in trials])
         )
-
-    def test_default_algorithms_names(self):
-        names = [s.name for s in default_algorithms()]
-        assert names == ["RS", "GEIST", "AL", "CEAL"]
 
 
 class TestPresets:

@@ -81,6 +81,7 @@ class TestBitIdentity:
             ("rs", "thrash"),
             ("bo", "on"),
             ("bo", "off"),
+            ("bandit", "thrash"),
         ],
         ids=lambda v: str(v),
     )

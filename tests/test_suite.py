@@ -14,11 +14,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.algorithms import ALGORITHMS
 from repro.core.ceal import Ceal, CealSettings
 from repro.experiments.headline import headline_claims
 from repro.experiments.figures import fig05_spec, fig08_practicality
 from repro.experiments.presets import (
-    ALGORITHM_KINDS,
     AlgorithmFactor,
     ceal_factor,
     ceal_settings_for,
@@ -103,7 +103,7 @@ class TestAlgorithmFactor:
         assert a.identity()["params"] == [["iterations", 4], ["use_history", True]]
 
     def test_registry_resolves_every_kind(self):
-        for kind in ALGORITHM_KINDS:
+        for kind in ALGORITHMS:
             factor = AlgorithmFactor.make("X", kind)
             spec = resolve_algorithm(factor, "LV", 50)
             assert spec.name == "X"
@@ -163,7 +163,6 @@ class TestSharedComparisonSets:
     def test_no_history_specs(self):
         specs = no_history_specs("LV", 50)
         assert [s.name for s in specs] == ["RS", "GEIST", "AL", "CEAL"]
-        assert all(not s.needs_history for s in specs)
         ceal = specs[-1].factory()
         assert ceal.settings == ceal_settings_for("LV", 50, False)
 
@@ -175,7 +174,6 @@ class TestSharedComparisonSets:
     def test_history_specs(self):
         specs = history_specs()
         assert [s.name for s in specs] == ["CEAL", "ALpH"]
-        assert all(s.needs_history for s in specs)
 
 
 # -- matrix compilation and cell keys ------------------------------------------------

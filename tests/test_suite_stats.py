@@ -58,6 +58,22 @@ class TestPairedPermutation:
         # All 8 sign assignments; only (+,+,+) and (-,-,-) reach |mean|=2.
         assert out["p"] == pytest.approx(2 / 8)
 
+    @pytest.mark.parametrize("n", [2, 5, 10, 16])
+    def test_exact_p_matches_loop_enumeration(self, n):
+        """The vectorized sign matrix gives the loop reference's p exactly."""
+        rng = np.random.default_rng(n)
+        x = rng.normal(0.0, 1.0, size=n)
+        y = rng.normal(0.3, 1.0, size=n)
+        diffs = x - y
+        signs = np.array(
+            [[1.0 if (m >> k) & 1 else -1.0 for k in range(n)]
+             for m in range(1 << n)]
+        )
+        hits = np.abs(signs @ diffs / n) >= abs(float(diffs.mean())) - 1e-12
+        out = paired_permutation_test(x, y)
+        assert out["exact"] is True
+        assert out["p"] == float(hits.mean())
+
     def test_strong_effect_significant(self):
         rng = np.random.default_rng(2)
         x = rng.normal(0.0, 0.1, size=15)

@@ -164,3 +164,46 @@ class TestComponentHistory:
         b = generate_component_history(lv, "lammps", size=50, seed=11)
         assert a.configs == b.configs
         np.testing.assert_array_equal(a.execution_seconds, b.execution_seconds)
+
+
+class TestProblemArtifacts:
+    def test_tune_serve_and_suite_share_pool_and_histories(self, lv):
+        """``AutoTuner``, a served session and a suite trial batch built
+        from equal inputs hold the very same pool and history objects."""
+        from repro.core import AutoTuner
+        from repro.core.algorithms import RandomSampling
+        from repro.experiments.runner import build_trial_context
+        from repro.serve.specs import SessionSpec, build_problem
+
+        inputs = dict(pool_size=60, seed=3, noise_sigma=0.05, history_size=40)
+
+        class Capture(RandomSampling):
+            def tune(self, problem, **kwargs):
+                self.problem = problem
+                return super().tune(problem, **kwargs)
+
+        capture = Capture()
+        AutoTuner(
+            lv, "execution_time", budget=4, algorithm=capture, **inputs
+        ).tune()
+        served = build_problem(
+            SessionSpec(workflow="LV", objective="execution_time", budget=4,
+                        **inputs)
+        )
+        batch = build_trial_context(
+            "LV",
+            "execution_time",
+            budget=4,
+            tasks=[],
+            pool_size=inputs["pool_size"],
+            pool_seed=inputs["seed"],
+            noise_sigma=inputs["noise_sigma"],
+            history_size=inputs["history_size"],
+        ).artifacts
+
+        tuned = capture.problem
+        assert tuned.pool is served.pool is batch.pool
+        assert set(tuned.collector.histories) == set(batch.histories)
+        for label, history in batch.histories.items():
+            assert tuned.collector.histories[label] is history
+            assert served.collector.histories[label] is history
