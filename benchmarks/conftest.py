@@ -7,7 +7,7 @@ evaluation and prints the reproduced rows.  Scale knobs (the paper uses
 ``REPRO_BENCH_REPEATS``
     Trials per algorithm per cell (default 4).
 ``REPRO_BENCH_POOL``
-    Measured-pool size (default 600).
+    Measured-pool size (default 1000).
 ``REPRO_BENCH_SEED``
     Base seed (default 2021).
 ``REPRO_BENCH_JOBS``
@@ -38,6 +38,28 @@ def emit(result) -> None:
     """Print a reproduced figure/table under the benchmark output."""
     print()
     print(result.to_text())
+
+
+def summarize_group(scale, factors, workflow, objective, budget) -> dict:
+    """Per-algorithm means of one suite group at bench scale.
+
+    ``factors`` are :class:`~repro.experiments.presets.AlgorithmFactor`
+    levels sharing one measured pool; the group runs through
+    :func:`~repro.experiments.suite.run_suite`.
+    """
+    from repro.experiments import SuiteGroup, SuiteSpec, run_suite, summarize
+
+    group = SuiteGroup(
+        workflow=workflow,
+        objective=objective,
+        budget=budget,
+        algorithms=tuple(factors),
+        repeats=scale["repeats"],
+        pool_size=scale["pool_size"],
+        pool_seed=scale["seed"],
+    )
+    spec = SuiteSpec(name="bench", groups=(group,))
+    return summarize(run_suite(spec, jobs=scale["jobs"]).trials)
 
 
 def mean_by(rows, key_fields, value_field):

@@ -9,39 +9,24 @@ BO), and the bootstrapped variants are the strongest arms overall.
 """
 
 import pytest
-from conftest import emit
+from conftest import emit, summarize_group
 
-from repro.core.algorithms import ActiveLearning, BayesianOptimization
-from repro.core.ceal import Ceal, CealSettings
-from repro.experiments import AlgorithmSpec, run_trials, summarize
+from repro.experiments import AlgorithmFactor
 from repro.experiments.figures import FigureResult
 
 pytestmark = pytest.mark.slow
 
 
 def test_ablation_bayesian_optimization(benchmark, scale):
-    specs = (
-        AlgorithmSpec("AL", ActiveLearning),
-        AlgorithmSpec("BO", BayesianOptimization),
-        AlgorithmSpec(
-            "CEAL-BO", lambda: BayesianOptimization(bootstrap=True)
-        ),
-        AlgorithmSpec("CEAL", lambda: Ceal(CealSettings(use_history=True))),
+    factors = (
+        AlgorithmFactor.make("AL", "al"),
+        AlgorithmFactor.make("BO", "bo"),
+        AlgorithmFactor.make("CEAL-BO", "ceal-bo"),
+        AlgorithmFactor.make("CEAL", "ceal", use_history=True),
     )
 
     def run():
-        return summarize(
-            run_trials(
-                "LV",
-                "computer_time",
-                specs,
-                budget=50,
-                repeats=scale["repeats"],
-                pool_size=scale["pool_size"],
-                pool_seed=scale["seed"],
-                jobs=scale["jobs"],
-            )
-        )
+        return summarize_group(scale, factors, "LV", "computer_time", 50)
 
     summary = benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -6,8 +6,9 @@ Equivalent CLI:
     python -m repro reproduce --target fig05 --repeats 10 --pool 1000 --jobs auto
 
 This script regenerates Table 2 and Figure 4 at small scale, then runs a
-small repeated-trial comparison with the parallel execution engine; swap
-in any driver from ``repro.experiments`` (fig04..fig13, table1, table2).
+small repeated-trial comparison as a one-group suite through
+``run_suite``; swap in any driver from ``repro.experiments``
+(fig04..fig13, table1, table2).
 
 Repeated trials fan out over ``--jobs`` worker processes (or the
 ``REPRO_JOBS`` environment variable; ``auto`` = one per CPU).  Results
@@ -21,9 +22,11 @@ import argparse
 import time
 
 from repro.experiments import (
+    SuiteGroup,
+    SuiteSpec,
     fig04_lowfid_recall,
-    no_history_specs,
-    run_trials,
+    no_history_factors,
+    run_suite,
     summarize,
     table2_best_vs_expert,
 )
@@ -49,16 +52,19 @@ def main() -> None:
     print(fig4.to_text())
     print()
 
-    started = time.perf_counter()
-    trials = run_trials(
-        "LV",
-        "computer_time",
-        no_history_specs("LV", 25),
+    group = SuiteGroup(
+        workflow="LV",
+        objective="computer_time",
         budget=25,
+        algorithms=no_history_factors(),
         repeats=args.repeats,
         pool_size=args.pool,
-        jobs=args.jobs,
+        pool_seed=2021,
     )
+    started = time.perf_counter()
+    trials = run_suite(
+        SuiteSpec(name="fig05-cell", groups=(group,)), jobs=args.jobs
+    ).trials
     elapsed = time.perf_counter() - started
     print(f"Fig. 5-style cell (LV computer time, m=25, {args.repeats} repeats)")
     for name, stats in summarize(trials).items():

@@ -19,8 +19,8 @@ every session at a resumable checkpoint.
 
 Machine-readable results go to stdout; diagnostics go to stderr through
 the ``repro`` logger (``-v`` for progress + telemetry summary, ``-vv``
-for debug, ``-q`` for errors only), so piping stdout stays clean.  Both
-subcommands accept ``--telemetry PATH`` (with ``--telemetry-format
+for debug, ``-q`` for errors only), so piping stdout stays clean.  Every
+subcommand accepts ``--telemetry PATH`` (with ``--telemetry-format
 {chrome,jsonl}``) to record spans and metrics of the run — the chrome
 format loads directly in Perfetto / ``chrome://tracing`` — plus
 ``--telemetry-store PATH`` to persist an end-of-run snapshot into a

@@ -3,16 +3,22 @@
 * :mod:`~repro.experiments.suite` — the declarative suite engine:
   TOML/JSON specs compiled into content-hashed run matrices, executed
   with store-backed resume and reported with statistical analysis.
+  :func:`~repro.experiments.suite.run_suite` is the only code that runs
+  trials; every figure driver, the headline claim and the Fig. 13
+  sweeps are spec builders over it.
 * :mod:`~repro.experiments.stats` — bootstrap confidence intervals and
   paired significance tests for suite reports.
-* :mod:`~repro.experiments.runner` — repeated-trial execution of tuning
-  algorithms against shared measured pools, with per-trial metrics.
+* :mod:`~repro.experiments.runner` — the trial primitives the suite
+  engine runs on: per-trial metrics, seeds, the process fan-out, and
+  one trial against a group's shared measured pool.
 * :mod:`~repro.experiments.figures` — one spec-builder + driver per
   paper figure (Figs. 4–12), each returning structured rows.
 * :mod:`~repro.experiments.sensitivity` — the Fig. 13 hyper-parameter
   sweeps.
-* :mod:`~repro.experiments.presets` — tuned hyper-parameters and the
-  declarative algorithm factor registry.
+* :mod:`~repro.experiments.presets` — tuned hyper-parameters and
+  :class:`~repro.experiments.presets.AlgorithmFactor`, the one algorithm
+  descriptor (a kind plus params, built through
+  :func:`~repro.core.algorithms.make_algorithm`).
 * :mod:`~repro.experiments.tables` — Tables 1 and 2.
 * :mod:`~repro.experiments.reporting` — plain-text rendering.
 
@@ -38,17 +44,13 @@ from repro.experiments.headline import headline_claims, headline_spec
 from repro.experiments.presets import (
     AlgorithmFactor,
     history_factors,
-    history_specs,
     no_history_factors,
-    no_history_specs,
     resolve_algorithm,
 )
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import (
-    AlgorithmSpec,
     TrialMetrics,
     resolve_jobs,
-    run_trials,
     summarize,
     trial_seed,
 )
@@ -69,7 +71,6 @@ from repro.experiments.viz import render_bars, render_figure, render_series
 
 __all__ = [
     "AlgorithmFactor",
-    "AlgorithmSpec",
     "FigureResult",
     "SuiteCell",
     "SuiteGroup",
@@ -92,17 +93,14 @@ __all__ = [
     "headline_claims",
     "headline_spec",
     "history_factors",
-    "history_specs",
     "load_spec",
     "no_history_factors",
-    "no_history_specs",
     "render_bars",
     "render_figure",
     "render_series",
     "resolve_algorithm",
     "resolve_jobs",
     "run_suite",
-    "run_trials",
     "spec_from_dict",
     "summarize",
     "sweep_ceal",

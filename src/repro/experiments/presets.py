@@ -1,4 +1,4 @@
-"""Per-experiment algorithm hyper-parameters and declarative algorithm specs.
+"""Per-experiment algorithm hyper-parameters and declarative algorithm factors.
 
 The paper adjusts the hyper-parameters of GEIST, AL, ALpH and CEAL per
 setting "and select[s] the best settings for each algorithm" (§7.3).
@@ -11,21 +11,18 @@ It also owns the *declarative* algorithm layer of the suite engine
 algorithm by ``kind`` (one of :data:`~repro.core.algorithms.ALGORITHMS`)
 plus plain-data ``params`` — hashable into a suite cell's content key
 and loadable from a TOML/JSON suite spec — and :func:`resolve_algorithm`
-turns it back into the :class:`~repro.experiments.runner.AlgorithmSpec`
-the trial runner executes, through the same
+turns it into the ``(kind, params)`` a trial worker passes to the same
 :func:`~repro.core.algorithms.make_algorithm` table ``repro tune`` and
-served sessions use.  The classic spec tuples the figure drivers share
-(:func:`no_history_specs` / :func:`history_specs`) live here too.
+served sessions use.  The comparison sets the figure drivers share
+(:func:`no_history_factors` / :func:`history_factors`) live here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
 
-from repro.core.algorithms import ALGORITHMS, make_algorithm
+from repro.core.algorithms import ALGORITHMS
 from repro.core.ceal import CealSettings
-from repro.experiments.runner import AlgorithmSpec
 
 __all__ = [
     "AlgorithmFactor",
@@ -33,9 +30,7 @@ __all__ = [
     "ceal_settings_for",
     "factor_from_ceal_settings",
     "history_factors",
-    "history_specs",
     "no_history_factors",
-    "no_history_specs",
     "resolve_algorithm",
 ]
 
@@ -82,11 +77,10 @@ class AlgorithmFactor:
 
     ``name`` is the display name — it also feeds
     :func:`~repro.experiments.runner.trial_seed`, so two factors with
-    the same name draw the same per-repeat random streams (exactly like
-    the :class:`~repro.experiments.runner.AlgorithmSpec` it resolves
-    to).  ``params`` is a sorted tuple of ``(key, value)`` pairs of
-    JSON-representable values, making the factor hashable, comparable,
-    and serialisable into a suite cell's content key.
+    the same name draw the same per-repeat random streams.  ``params``
+    is a sorted tuple of ``(key, value)`` pairs of JSON-representable
+    values, making the factor hashable, comparable, and serialisable
+    into a suite cell's content key.
     """
 
     name: str
@@ -111,13 +105,13 @@ def resolve_algorithm(
     factor: AlgorithmFactor,
     workflow_name: str | None = None,
     budget: int | None = None,
-) -> AlgorithmSpec:
-    """Resolve a declarative factor into an executable algorithm spec.
+) -> tuple[str, dict]:
+    """The ``(kind, params)`` that build a factor's algorithm.
 
-    The factory calls :func:`~repro.core.algorithms.make_algorithm` with
-    the factor's kind and params.  ``workflow_name`` and ``budget`` are
-    the resolution context of a CEAL factor with ``preset=True``, whose
-    settings are :func:`ceal_settings_for` its cell.
+    ``make_algorithm(kind, **params)`` is the algorithm.  Params pass
+    through unchanged except for a CEAL factor with ``preset=True``,
+    whose settings are :func:`ceal_settings_for` its cell:
+    ``workflow_name`` and ``budget`` are that resolution context.
     """
     _check_kind(factor.kind)
     params = factor.param_dict()
@@ -134,9 +128,7 @@ def resolve_algorithm(
                 "a (workflow, budget) resolution context"
             )
         params = asdict(ceal_settings_for(workflow_name, budget, use_history))
-    return AlgorithmSpec(
-        factor.name, partial(make_algorithm, factor.kind, **params)
-    )
+    return factor.kind, params
 
 
 def ceal_factor(
@@ -188,17 +180,3 @@ def history_factors() -> tuple[AlgorithmFactor, ...]:
         AlgorithmFactor.make("ALpH", "alph", use_history=True),
     )
 
-
-def no_history_specs(
-    workflow_name: str, budget: int
-) -> tuple[AlgorithmSpec, ...]:
-    """Executable form of :func:`no_history_factors` for one cell."""
-    return tuple(
-        resolve_algorithm(f, workflow_name, budget)
-        for f in no_history_factors()
-    )
-
-
-def history_specs() -> tuple[AlgorithmSpec, ...]:
-    """Executable form of :func:`history_factors`."""
-    return tuple(resolve_algorithm(f) for f in history_factors())

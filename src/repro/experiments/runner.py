@@ -1,27 +1,30 @@
-"""Repeated-trial execution of tuning algorithms (the §7 protocol).
+"""Trial primitives of the §7 protocol: metrics, seeds, fan-out, one trial.
 
 One *trial* = one algorithm tuning one workflow/objective with budget
 ``m`` and a fresh seed, against the shared pre-measured pool.  The paper
-averages 100 trials per configuration; ``repeats`` controls that here.
+averages 100 trials per configuration; a suite group's ``repeats``
+controls that here.  :func:`~repro.experiments.suite.run_suite` is the
+only code that runs trials: it builds one :func:`build_trial_context`
+per group of its run matrix and fans the pending cells out through
+:func:`fanout`.
 
 Trial metrics cover every evaluation of §7.2: actual performance of the
 predicted best configuration (normalised by the pool optimum), recall
 curves, MdAPE over all and the top 2 % of the test set, and the
 data-collection cost feeding the practicality metric.
 
-Trials are independent given their seeds, so :func:`run_trials` can fan
-them out across worker processes (``jobs`` argument, ``REPRO_JOBS``
-environment override, ``--jobs`` on the CLI).  Parallel execution is
-bit-identical to serial execution: every per-trial seed is derived up
-front from ``(pool_seed, algorithm name, repeat)`` — never from worker
-identity or scheduling order — and results are re-sorted into the
-serial (algorithm-major, repeat-minor) order before returning.
+Trials are independent given their seeds, so they can fan out across
+worker processes (``jobs`` argument, ``REPRO_JOBS`` environment
+override, ``--jobs`` on the CLI).  Parallel execution is bit-identical
+to serial execution: every per-trial seed is derived up front from
+``(pool_seed, algorithm name, repeat)`` — never from worker identity or
+scheduling order — and results come back in task order.
 
-The fan-out uses the ``fork`` start method so the shared measured pool,
-component histories, and (lambda-holding) algorithm specs are inherited
-by workers instead of pickled; only trial indices go out and
-:class:`TrialMetrics` come back.  On platforms without ``fork`` the
-engine silently degrades to serial execution.
+The fan-out uses the ``fork`` start method so the shared measured pool
+and component histories are inherited by workers instead of pickled;
+only task indices go out and :class:`TrialMetrics` come back.  On
+platforms without ``fork`` the engine silently degrades to serial
+execution.
 """
 
 from __future__ import annotations
@@ -31,38 +34,27 @@ import os
 import time
 import warnings
 import zlib
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import telemetry
+from repro.core.algorithms import make_algorithm
 from repro.core.metrics import mdape_on_top_fraction, recall_curve
 from repro.core.objectives import Objective, get_objective
 from repro.core.problem import TuningProblem
-from repro.insitu.workflow import WorkflowDefinition
 from repro.workflows.pools import ProblemArtifacts, problem_artifacts
 
 __all__ = [
-    "AlgorithmSpec",
-    "SUMMARY_PERCENTILES",
     "TrialMetrics",
     "build_trial_context",
     "fanout",
     "hash_name",
     "resolve_jobs",
-    "run_trials",
     "summarize",
     "trial_seed",
 ]
-
-
-@dataclass(frozen=True)
-class AlgorithmSpec:
-    """A named algorithm factory (fresh instance per trial)."""
-
-    name: str
-    factory: Callable[[], object]
 
 
 @dataclass
@@ -120,8 +112,9 @@ def trial_seed(pool_seed: int, name: str, rep: int) -> int:
 
 #: ``(worker, context, capture)`` of the fan-out in flight.  Set in the
 #: parent immediately before the pool forks, so workers inherit it
-#: through copy-on-write memory instead of pickling (the context holds
-#: lambdas and DES-backed workflow objects that do not pickle).
+#: through copy-on-write memory instead of pickling (a worker may be a
+#: lambda, and a context holds DES-backed workflow objects, neither of
+#: which pickles).
 #: ``capture`` records whether the parent had telemetry enabled at fork
 #: time.
 _FANOUT_STATE: tuple | None = None
@@ -268,7 +261,7 @@ def _fanout_serial(worker, context, n_tasks: int, tel, on_complete=None) -> list
 
 @dataclass
 class _TrialContext:
-    """Everything one trial needs, shared across workers by fork."""
+    """The shared state of one group's trials, inherited by forked workers."""
 
     artifacts: ProblemArtifacts
     objective: Objective
@@ -277,13 +270,16 @@ class _TrialContext:
     budget: int
     failure_rate: float
     recall_max_n: int
-    tasks: list  # (spec, rep, seed) in serial order
     store: object | None = None
-    warm_start: str = "off"
 
 
-def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
-    spec, rep, seed = ctx.tasks[index]
+def _run_one_trial(ctx: _TrialContext, task: tuple) -> TrialMetrics:
+    """Run one ``(name, kind, params, rep, seed)`` trial task.
+
+    The algorithm is ``make_algorithm(kind, **params)``, built fresh in
+    the worker; ``name`` labels the metrics and the trial span.
+    """
+    name, kind, params, rep, seed = task
     started = time.perf_counter()
     tel = telemetry.get()
     artifacts = ctx.artifacts
@@ -297,7 +293,6 @@ def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
         histories=artifacts.histories,
         failure_rate=ctx.failure_rate,
         store=ctx.store,
-        warm_start=ctx.warm_start,
         encoder=artifacts.encoder,
     )
     if problem.store is not None:
@@ -305,11 +300,11 @@ def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
         # store's row dedupe, and forked workers inherit the store
         # object (its connection reopens per pid).
         problem.store.repeat = rep
-    algorithm = spec.factory()
+    algorithm = make_algorithm(kind, **params)
     with tel.span(
         "runner.trial",
         category="runner",
-        algorithm=spec.name,
+        algorithm=name,
         repeat=rep,
         seed=seed,
     ):
@@ -328,7 +323,7 @@ def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
         scores = result.predict_pool(pool)
     best_value = result.best_actual_value(pool)
     return TrialMetrics(
-        algorithm=spec.name,
+        algorithm=name,
         workflow=artifacts.workflow.name,
         objective=ctx.objective.name,
         budget=ctx.budget,
@@ -347,68 +342,11 @@ def _run_one_trial(ctx: _TrialContext, index: int) -> TrialMetrics:
     )
 
 
-def run_trials(
-    workflow: WorkflowDefinition | str,
-    objective: Objective | str,
-    algorithms: Sequence[AlgorithmSpec],
-    budget: int,
-    repeats: int = 20,
-    pool_size: int = 2000,
-    pool_seed: int = 2021,
-    noise_sigma: float = 0.05,
-    history_size: int = 500,
-    recall_max_n: int = 10,
-    failure_rate: float = 0.0,
-    jobs: int | str | None = None,
-    store: object | None = None,
-    warm_start: str = "off",
-) -> list[TrialMetrics]:
-    """Run every algorithm ``repeats`` times and collect trial metrics.
-
-    Histories are always generated and attached (they are the §7.1
-    component measurement sets the collector draws *paid* component runs
-    from).  Whether an algorithm may read them for free is the
-    algorithm's own ``use_history`` setting.
-
-    ``jobs`` fans the (algorithm, repeat) trials out across that many
-    worker processes (``"auto"`` / ``<= 0`` = one per CPU; default
-    ``REPRO_JOBS`` or serial).  Results are identical to serial
-    execution in every deterministic field — only ``wall_seconds``
-    varies between runs.
-
-    ``store`` (a :class:`~repro.store.db.MeasurementStore` or path)
-    records every trial's paid measurements write-through; forked
-    workers write to the same database under WAL concurrency.
-    ``warm_start`` forwards to every trial's problem.
-    """
-    tasks = [
-        (spec, rep, trial_seed(pool_seed, spec.name, rep))
-        for spec in algorithms
-        for rep in range(repeats)
-    ]
-    ctx = build_trial_context(
-        workflow,
-        objective,
-        budget=budget,
-        tasks=tasks,
-        pool_size=pool_size,
-        pool_seed=pool_seed,
-        noise_sigma=noise_sigma,
-        history_size=history_size,
-        recall_max_n=recall_max_n,
-        failure_rate=failure_rate,
-        store=store,
-        warm_start=warm_start,
-    )
-    return fanout(_run_one_trial, ctx, len(tasks), jobs)
-
-
 def build_trial_context(
-    workflow: WorkflowDefinition | str,
-    objective: Objective | str,
+    workflow: str,
+    objective: str,
     *,
     budget: int,
-    tasks: Sequence[tuple],
     pool_size: int = 2000,
     pool_seed: int = 2021,
     noise_sigma: float = 0.05,
@@ -416,27 +354,20 @@ def build_trial_context(
     recall_max_n: int = 10,
     failure_rate: float = 0.0,
     store: object | None = None,
-    warm_start: str = "off",
 ) -> _TrialContext:
-    """Materialise the shared state of one trial batch.
+    """Materialise the shared state of one suite group's trials.
 
     Builds the measured pool and component histories with
-    :func:`~repro.workflows.pools.problem_artifacts`, resolves names to
-    objects, and packages
-    everything a :func:`fanout` worker needs.  ``tasks`` is the serial
-    ``(spec, rep, seed)`` list; :func:`run_trials` derives it from its
-    algorithm grid, while the suite engine
-    (:mod:`repro.experiments.suite`) passes only the *pending* cells of
-    a resumed matrix.
+    :func:`~repro.workflows.pools.problem_artifacts` and the pool's
+    ground truth for the objective.  Histories are always attached:
+    they are the §7.1 component measurement sets the collector draws
+    *paid* component runs from, and whether an algorithm may read them
+    for free is its own ``use_history`` setting.  ``store`` (a
+    :class:`~repro.store.db.MeasurementStore`) records every trial's
+    paid measurements write-through; forked workers write to the same
+    database under WAL concurrency.
     """
-    if store is not None:
-        from repro.store.db import MeasurementStore
-
-        if not isinstance(store, MeasurementStore):
-            store = MeasurementStore(store)
-    objective = (
-        get_objective(objective) if isinstance(objective, str) else objective
-    )
+    objective = get_objective(objective)
     artifacts = problem_artifacts(
         workflow, pool_size, pool_seed, noise_sigma, history_size
     )
@@ -449,32 +380,18 @@ def build_trial_context(
         budget=budget,
         failure_rate=failure_rate,
         recall_max_n=recall_max_n,
-        tasks=list(tasks),
         store=store,
-        warm_start=warm_start,
     )
 
 
-#: Tail-latency percentiles reported by :func:`summarize`.
-SUMMARY_PERCENTILES = (50, 90, 99)
-
-
 def summarize(trials: Sequence[TrialMetrics]) -> dict:
-    """Aggregate trials per algorithm: means of every §7.2 metric.
-
-    Wall-clock metrics additionally carry tail percentiles
-    (``wall_seconds_p50``/``_p90``/``_p99`` and the same for
-    ``fit_seconds``) — a mean alone hides stragglers, and benchmark
-    JSON needs the tail to compare scheduling strategies.
-    """
+    """Aggregate trials per algorithm: means of every §7.2 metric."""
     by_algo: dict[str, list[TrialMetrics]] = {}
     for t in trials:
         by_algo.setdefault(t.algorithm, []).append(t)
     out: dict = {}
     for name, ts in by_algo.items():
-        wall = np.array([t.wall_seconds for t in ts])
-        fit = np.array([t.fit_seconds for t in ts])
-        row = {
+        out[name] = {
             "normalized": float(np.mean([t.normalized for t in ts])),
             "normalized_std": float(np.std([t.normalized for t in ts])),
             "best_value": float(np.mean([t.best_value for t in ts])),
@@ -483,12 +400,8 @@ def summarize(trials: Sequence[TrialMetrics]) -> dict:
             "mdape_top2": float(np.mean([t.mdape_top2 for t in ts])),
             "cost": float(np.mean([t.cost for t in ts])),
             "runs_used": float(np.mean([t.runs_used for t in ts])),
-            "wall_seconds": float(wall.mean()),
-            "fit_seconds": float(fit.mean()),
+            "wall_seconds": float(np.mean([t.wall_seconds for t in ts])),
+            "fit_seconds": float(np.mean([t.fit_seconds for t in ts])),
             "repeats": len(ts),
         }
-        for p in SUMMARY_PERCENTILES:
-            row[f"wall_seconds_p{p}"] = float(np.percentile(wall, p))
-            row[f"fit_seconds_p{p}"] = float(np.percentile(fit, p))
-        out[name] = row
     return out

@@ -13,9 +13,10 @@ Design→Prepare→Run→Collect→Analysis pipeline:
   explicit, deterministic list of :class:`SuiteCell` runs.  Each cell
   is content-hashed over every determinism-relevant field
   (:meth:`SuiteCell.key`), so a cell *is* its inputs.
-* **Run** — :func:`run_suite` executes pending cells through the
-  existing :func:`~repro.experiments.runner.fanout` worker pool.  With
-  a :class:`~repro.store.db.MeasurementStore` attached, finished cells
+* **Run** — :func:`run_suite`, the only code that runs trials,
+  executes pending cells through the
+  :func:`~repro.experiments.runner.fanout` worker pool.  With a
+  :class:`~repro.store.db.MeasurementStore` attached, finished cells
   persist as metadata rows keyed by their content hash and are skipped
   on re-run: a killed suite resumes where it left off and finishes
   bit-identically (cell results are deterministic given their key, so
@@ -61,6 +62,7 @@ __all__ = [
     "SuiteSpec",
     "compile_matrix",
     "load_spec",
+    "practicality",
     "run_suite",
     "spec_from_dict",
 ]
@@ -185,9 +187,7 @@ def compile_matrix(spec: SuiteSpec) -> tuple:
     """Expand a spec into its explicit, deterministic run matrix.
 
     Cell order is group-major, then algorithm-major, repeat-minor —
-    exactly the serial order :func:`~repro.experiments.runner.run_trials`
-    executes, so rebasing a legacy driver onto the engine permutes
-    nothing.
+    the order pending cells execute in and trials are reported in.
     """
     cells = []
     for gi, group in enumerate(spec.groups):
@@ -285,8 +285,8 @@ class _MatrixContext:
     """Fan-out context of one suite run, inherited by forked workers.
 
     ``contexts`` holds one prepared trial context per group (only for
-    groups with pending cells); ``plan[i]`` routes fan-out task ``i`` to
-    ``(group_index, local_task_index)``.
+    groups with pending cells); ``plan[i]`` is fan-out task ``i`` as
+    ``(group_index, (name, kind, params, repeat, seed))``.
     """
 
     contexts: dict
@@ -294,8 +294,8 @@ class _MatrixContext:
 
 
 def _run_matrix_cell(ctx: _MatrixContext, index: int) -> TrialMetrics:
-    group_index, local = ctx.plan[index]
-    return _run_one_trial(ctx.contexts[group_index], local)
+    group_index, task = ctx.plan[index]
+    return _run_one_trial(ctx.contexts[group_index], task)
 
 
 @dataclass
@@ -389,7 +389,6 @@ def run_suite(
                         group.workflow,
                         group.objective,
                         budget=group.budget,
-                        tasks=[],
                         pool_size=group.pool_size,
                         pool_seed=group.pool_seed,
                         noise_sigma=group.noise_sigma,
@@ -398,12 +397,12 @@ def run_suite(
                         failure_rate=group.failure_rate,
                         store=store if record_measurements else None,
                     )
-            ctx = contexts[gi]
-            spec_obj = resolve_algorithm(
+            kind, params = resolve_algorithm(
                 cell.algorithm, cell.workflow, cell.budget
             )
-            plan.append((gi, len(ctx.tasks)))
-            ctx.tasks.append((spec_obj, cell.repeat, cell.seed))
+            plan.append(
+                (gi, (cell.algorithm.name, kind, params, cell.repeat, cell.seed))
+            )
         sink = progress.get()
         if sink.enabled:
             # First heartbeat counts cache hits; later ones arrive from
@@ -467,8 +466,16 @@ def _metric_values(trials: list, metric: str) -> list:
     return [getattr(t, metric) for t in trials]
 
 
-def _practicality(group: SuiteGroup, trials: list) -> dict | None:
-    """The §7.2.3 practicality block, when an expert config exists."""
+def practicality(group: SuiteGroup, trials: list) -> dict | None:
+    """The §7.2.3 practicality of one algorithm's trials in ``group``.
+
+    ``least_uses`` is the paper's N = c / Δp with the trials' average
+    collection cost and average tuned value (per-trial ratios would
+    average incomparable subsets when some trials fail to beat the
+    expert), ``inf`` when the average never beats the expert;
+    ``recouped_fraction`` is the share of trials that beat it.  ``None``
+    when the cell has no expert configuration.
+    """
     from repro.core.metrics import least_number_of_uses
     from repro.insitu.measurement import measure_workflow
     from repro.workflows.catalog import expert_config, make_workflow
@@ -483,9 +490,10 @@ def _practicality(group: SuiteGroup, trials: list) -> dict | None:
     )
     mean_cost = float(np.mean([t.cost for t in trials]))
     mean_value = float(np.mean([t.best_value for t in trials]))
-    uses = least_number_of_uses(mean_cost, mean_value, expert)
     return {
-        "least_uses": float(uses) if np.isfinite(uses) else None,
+        "least_uses": float(
+            least_number_of_uses(mean_cost, mean_value, expert)
+        ),
         "recouped_fraction": float(
             np.mean([t.best_value < expert for t in trials])
         ),
@@ -526,9 +534,11 @@ def build_report(spec: SuiteSpec, grouped_trials: list) -> dict:
                         confidence=spec.confidence,
                     ),
                 }
-                practicality = _practicality(group, ts)
-                if practicality is not None:
-                    entry["practicality"] = practicality
+                block = practicality(group, ts)
+                if block is not None:
+                    if not np.isfinite(block["least_uses"]):
+                        block["least_uses"] = None  # JSON has no inf
+                    entry["practicality"] = block
                 algo_out[factor.name] = entry
             comparisons = []
             for a, b in itertools.combinations(

@@ -1,24 +1,31 @@
-"""Regenerate ``pinned_suite.json`` — legacy figure outputs at test scale.
+"""Regenerate ``pinned_suite.json`` — suite-engine outputs at test scale.
 
-The suite-engine refactor routes every figure driver through
-``repro.experiments.suite``; these pins capture the *pre-refactor*
-outputs (direct ``run_trials`` / ``sweep_ceal`` execution) of the
-cheap drivers at test scale, so ``tests/test_suite.py`` can assert the
-rebased drivers reproduce them bit-identically.
+The pins hold the deterministic outputs of the cheap suite-backed
+drivers at test scale: a generic RS-vs-CEAL trial batch, the headline
+claim, Fig. 8 and a small Fig. 13 sweep.  They were first captured
+before the figure drivers moved onto ``repro.experiments.suite``, so
+``tests/test_suite.py`` asserting them proves the engine reproduces
+the older drivers bit-identically.
 
 Regenerate with ``PYTHONPATH=src python tests/data/make_pinned_suite.py``
-only for an *intentional* behaviour change.
+only for an *intentional* behaviour change; an unchanged engine
+rewrites the file byte-identically.
 """
 
 import json
 from pathlib import Path
 
-from repro.core.algorithms import RandomSampling
-from repro.core.ceal import Ceal, CealSettings
+from repro.core.ceal import CealSettings
 from repro.experiments.figures import fig08_practicality
 from repro.experiments.headline import headline_claims
-from repro.experiments.runner import AlgorithmSpec, run_trials
+from repro.experiments.presets import AlgorithmFactor
 from repro.experiments.sensitivity import sweep_ceal
+from repro.experiments.suite import (
+    SuiteGroup,
+    SuiteSpec,
+    _metrics_payload,
+    run_suite,
+)
 
 OUT = Path(__file__).parent / "pinned_suite.json"
 
@@ -28,33 +35,21 @@ SEED = 7
 
 
 def trial_rows():
-    """Deterministic fields of a small generic ``run_trials`` batch."""
-    specs = (
-        AlgorithmSpec("RS", RandomSampling),
-        AlgorithmSpec("CEAL", lambda: Ceal(CealSettings(use_history=True))),
+    """Deterministic fields of a small generic RS-vs-CEAL trial batch."""
+    group = SuiteGroup(
+        workflow="LV",
+        objective="execution_time",
+        budget=8,
+        algorithms=(
+            AlgorithmFactor.make("RS", "rs"),
+            AlgorithmFactor.make("CEAL", "ceal", use_history=True),
+        ),
+        repeats=REPEATS,
+        pool_size=POOL,
+        pool_seed=SEED,
     )
-    trials = run_trials(
-        "LV", "execution_time", specs, budget=8, repeats=REPEATS,
-        pool_size=POOL, pool_seed=SEED,
-    )
-    return [
-        {
-            "algorithm": t.algorithm,
-            "workflow": t.workflow,
-            "objective": t.objective,
-            "budget": t.budget,
-            "seed": t.seed,
-            "repeat": t.repeat,
-            "best_value": t.best_value,
-            "normalized": t.normalized,
-            "recall": [float(x) for x in t.recall],
-            "mdape_all": t.mdape_all,
-            "mdape_top2": t.mdape_top2,
-            "cost": t.cost,
-            "runs_used": t.runs_used,
-        }
-        for t in trials
-    ]
+    result = run_suite(SuiteSpec(name="small", groups=(group,)))
+    return [_metrics_payload(t) for t in result.trials]
 
 
 def sweep_rows():
@@ -73,6 +68,8 @@ def main() -> None:
         "repeats": REPEATS,
         "pool_size": POOL,
         "seed": SEED,
+        # The key predates the suite engine; it stays so the file
+        # regenerates byte-identically.
         "run_trials": trial_rows(),
         "headline": headline_claims(
             repeats=REPEATS, pool_size=POOL, seed=SEED

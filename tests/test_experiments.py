@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.algorithms import RandomSampling
 from repro.experiments import (
-    AlgorithmSpec,
+    AlgorithmFactor,
+    SuiteGroup,
+    SuiteSpec,
     fig04_lowfid_recall,
     format_table,
-    run_trials,
+    run_suite,
     summarize,
     table1_parameter_spaces,
     table2_best_vs_expert,
@@ -16,15 +17,19 @@ from repro.experiments import (
 from repro.experiments.presets import ceal_settings_for
 
 
-SPECS = (AlgorithmSpec("RS", RandomSampling),)
+def rs_trials(repeats: int) -> list:
+    """``repeats`` RS trials on LV execution time (m=8, 150-config pool)."""
+    group = SuiteGroup(
+        workflow="LV", objective="execution_time", budget=8,
+        algorithms=(AlgorithmFactor.make("RS", "rs"),), repeats=repeats,
+        pool_size=150, pool_seed=7,
+    )
+    return run_suite(SuiteSpec(name="rs", groups=(group,))).trials
 
 
 class TestRunner:
-    def test_run_trials_metrics_complete(self, lv):
-        trials = run_trials(
-            lv, "execution_time", SPECS, budget=8, repeats=2, pool_size=150,
-            pool_seed=7,
-        )
+    def test_trial_metrics_complete(self):
+        trials = rs_trials(repeats=2)
         assert len(trials) == 2
         for t in trials:
             assert t.algorithm == "RS"
@@ -35,19 +40,12 @@ class TestRunner:
             assert t.cost > 0
             assert t.mdape_all >= 0 and t.mdape_top2 >= 0
 
-    def test_trials_vary_across_repeats(self, lv):
-        trials = run_trials(
-            lv, "execution_time", SPECS, budget=8, repeats=3, pool_size=150,
-            pool_seed=7,
-        )
-        picked = {tuple(sorted(t.trace and [] or [])) or t.best_value for t in trials}
+    def test_trials_vary_across_repeats(self):
+        trials = rs_trials(repeats=3)
         assert len({t.best_value for t in trials}) >= 2
 
-    def test_summarize_aggregates(self, lv):
-        trials = run_trials(
-            lv, "execution_time", SPECS, budget=8, repeats=3, pool_size=150,
-            pool_seed=7,
-        )
+    def test_summarize_aggregates(self):
+        trials = rs_trials(repeats=3)
         summary = summarize(trials)
         assert summary["RS"]["repeats"] == 3
         assert summary["RS"]["normalized"] == pytest.approx(

@@ -5,20 +5,31 @@ import os
 import numpy as np
 
 from repro.core.algorithms import RandomSampling
-from repro.core.ceal import Ceal, CealSettings
 from repro.core.objectives import get_objective
 from repro.core.problem import TuningProblem
+from repro.experiments.presets import AlgorithmFactor
 from repro.experiments.runner import (
-    AlgorithmSpec,
     fanout,
     hash_name,
     resolve_jobs,
-    run_trials,
     trial_seed,
 )
+from repro.experiments.suite import SuiteGroup, SuiteSpec, run_suite
 from repro.workflows.pools import generate_component_history, generate_pool
 
-SPECS = (AlgorithmSpec("RS", RandomSampling),)
+RS = (AlgorithmFactor.make("RS", "rs"),)
+RS_CEAL = RS + (AlgorithmFactor.make("CEAL", "ceal", use_history=False),)
+
+
+def trials_of(algorithms, objective="execution_time", budget=8, repeats=2,
+              jobs=None, **run_kwargs):
+    """Trials of one LV suite group on a 150-config pool (seed 7)."""
+    group = SuiteGroup(
+        workflow="LV", objective=objective, budget=budget,
+        algorithms=algorithms, repeats=repeats, pool_size=150, pool_seed=7,
+    )
+    spec = SuiteSpec(name="runner", groups=(group,))
+    return run_suite(spec, jobs=jobs, **run_kwargs).trials
 
 
 class TestHashName:
@@ -32,14 +43,9 @@ class TestHashName:
     def test_stable_across_calls(self):
         assert hash_name("RS") == hash_name("RS")
 
-    def test_anagram_algorithms_draw_distinct_streams(self, lv):
-        specs = (
-            AlgorithmSpec("AL", RandomSampling),
-            AlgorithmSpec("LA", RandomSampling),
-        )
-        trials = run_trials(
-            lv, "execution_time", specs, budget=8, repeats=2, pool_size=150,
-            pool_seed=7,
+    def test_anagram_algorithms_draw_distinct_streams(self):
+        trials = trials_of(
+            (AlgorithmFactor.make("AL", "rs"), AlgorithmFactor.make("LA", "rs"))
         )
         by_name: dict[str, list] = {}
         for t in trials:
@@ -52,11 +58,8 @@ class TestHashName:
 
 
 class TestTrialSeeds:
-    def test_metrics_record_effective_seed_and_repeat(self, lv):
-        trials = run_trials(
-            lv, "execution_time", SPECS, budget=8, repeats=3, pool_size=150,
-            pool_seed=7,
-        )
+    def test_metrics_record_effective_seed_and_repeat(self):
+        trials = trials_of(RS, repeats=3)
         for rep, t in enumerate(trials):
             assert t.repeat == rep
             assert t.seed == trial_seed(7, "RS", rep)
@@ -67,11 +70,7 @@ class TestTrialSeeds:
         assert trial_seed(7, "RS", 2) == 7 * 1_000_003 + 2 + hash_name("RS")
 
     def test_single_trial_reproducible_from_saved_row(self, lv):
-        trials = run_trials(
-            lv, "execution_time", SPECS, budget=8, repeats=2, pool_size=150,
-            pool_seed=7,
-        )
-        saved = trials[1]
+        saved = trials_of(RS)[1]
         pool = generate_pool(lv, 150, seed=7)
         histories = {
             label: generate_component_history(lv, label, size=500, seed=7)
@@ -125,13 +124,9 @@ class TestFanout:
 class TestRunnerStore:
     """Forked trial workers write through to one shared store."""
 
-    SPECS = (
-        AlgorithmSpec("RS", RandomSampling),
-        AlgorithmSpec("CEAL", lambda: Ceal(CealSettings(use_history=False))),
-    )
     # Budget 12 resolves paid CEAL to m_r=2: component solo runs are
     # actually charged, so their write-through path gets exercised too.
-    KWARGS = dict(budget=12, repeats=2, pool_size=150, pool_seed=7)
+    BUDGET = 12
 
     @staticmethod
     def _stored_rows(path):
@@ -150,8 +145,9 @@ class TestRunnerStore:
 
     def test_parallel_workers_record_every_trial(self, lv, tmp_path):
         db = tmp_path / "trials.db"
-        trials = run_trials(
-            lv, "execution_time", self.SPECS, jobs=2, store=db, **self.KWARGS
+        trials = trials_of(
+            RS_CEAL, budget=self.BUDGET, jobs=2, store=db,
+            record_measurements=True,
         )
         rows, stats = self._stored_rows(db)
         # Every trial's runs landed despite the fork boundary (the
@@ -174,31 +170,23 @@ class TestRunnerStore:
         # trial's repeat into the binding before measuring.
         assert {r[4] for r in rows} == {0, 1}
 
-    def test_serial_and_parallel_store_identical_rows(self, lv, tmp_path):
+    def test_serial_and_parallel_store_identical_rows(self, tmp_path):
         serial_db = tmp_path / "serial.db"
         parallel_db = tmp_path / "parallel.db"
-        run_trials(
-            lv, "execution_time", self.SPECS, jobs=1, store=serial_db,
-            **self.KWARGS,
-        )
-        run_trials(
-            lv, "execution_time", self.SPECS, jobs=2, store=parallel_db,
-            **self.KWARGS,
-        )
+        for jobs, db in ((1, serial_db), (2, parallel_db)):
+            trials_of(
+                RS_CEAL, budget=self.BUDGET, jobs=jobs, store=db,
+                record_measurements=True,
+            )
         serial_rows, _ = self._stored_rows(serial_db)
         parallel_rows, _ = self._stored_rows(parallel_db)
         assert sorted(serial_rows) == sorted(parallel_rows)
 
 
 class TestParallelDeterminism:
-    def test_jobs4_bit_identical_to_jobs1(self, lv):
-        specs = (
-            AlgorithmSpec("RS", RandomSampling),
-            AlgorithmSpec("CEAL", lambda: Ceal(CealSettings(use_history=False))),
-        )
-        kwargs = dict(budget=8, repeats=2, pool_size=150, pool_seed=7)
-        serial = run_trials(lv, "computer_time", specs, jobs=1, **kwargs)
-        parallel = run_trials(lv, "computer_time", specs, jobs=4, **kwargs)
+    def test_jobs4_bit_identical_to_jobs1(self):
+        serial = trials_of(RS_CEAL, objective="computer_time", jobs=1)
+        parallel = trials_of(RS_CEAL, objective="computer_time", jobs=4)
         assert [(t.algorithm, t.repeat) for t in serial] == [
             (t.algorithm, t.repeat) for t in parallel
         ]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.algorithms import ALGORITHMS
+from repro.core.algorithms import ALGORITHMS, make_algorithm
 from repro.core.ceal import Ceal, CealSettings
 from repro.experiments.headline import headline_claims
 from repro.experiments.figures import fig05_spec, fig08_practicality
@@ -24,9 +24,7 @@ from repro.experiments.presets import (
     ceal_settings_for,
     factor_from_ceal_settings,
     history_factors,
-    history_specs,
     no_history_factors,
-    no_history_specs,
     resolve_algorithm,
 )
 from repro.experiments.runner import trial_seed
@@ -61,7 +59,7 @@ needs_toml = pytest.mark.skipif(
 
 
 def small_spec() -> SuiteSpec:
-    """The pinned ``run_trials`` batch as a suite spec (4 cells)."""
+    """The pinned generic trial batch as a suite spec (4 cells)."""
     return SuiteSpec(
         name="small",
         groups=(
@@ -86,6 +84,12 @@ def small_result():
     return run_suite(small_spec())
 
 
+def build(factor, workflow=None, budget=None):
+    """The algorithm a trial of ``factor`` runs, in a (workflow, budget) cell."""
+    kind, params = resolve_algorithm(factor, workflow, budget)
+    return make_algorithm(kind, **params)
+
+
 # -- declarative algorithm layer (presets) -------------------------------------------
 
 
@@ -105,9 +109,8 @@ class TestAlgorithmFactor:
     def test_registry_resolves_every_kind(self):
         for kind in ALGORITHMS:
             factor = AlgorithmFactor.make("X", kind)
-            spec = resolve_algorithm(factor, "LV", 50)
-            assert spec.name == "X"
-            assert spec.factory() is not None
+            assert resolve_algorithm(factor, "LV", 50) == (kind, {})
+            assert build(factor, "LV", 50) is not None
 
     def test_resolve_rejects_unknown_kind(self):
         # Bypass .make's validation: the resolver guards independently.
@@ -119,7 +122,7 @@ class TestAlgorithmFactor:
         factor = AlgorithmFactor.make(
             "C", "ceal", use_history=False, iterations=3
         )
-        algo = resolve_algorithm(factor).factory()
+        algo = build(factor)
         assert isinstance(algo, Ceal)
         assert algo.settings == CealSettings(use_history=False, iterations=3)
 
@@ -136,10 +139,10 @@ class TestAlgorithmFactor:
     def test_ceal_preset_selects_per_cell_settings(self):
         factor = ceal_factor("CEAL", preset=True, use_history=False)
         for workflow, budget in (("GP", 25), ("LV", 50), ("GP", 100)):
-            algo = resolve_algorithm(factor, workflow, budget).factory()
+            algo = build(factor, workflow, budget)
             assert algo.settings == ceal_settings_for(workflow, budget, False)
         # GP at a small budget actually differs from the default.
-        gp_small = resolve_algorithm(factor, "GP", 25).factory()
+        gp_small = build(factor, "GP", 25)
         assert gp_small.settings.iterations == 6
 
     def test_factor_from_ceal_settings_roundtrip(self):
@@ -147,7 +150,7 @@ class TestAlgorithmFactor:
             use_history=False, iterations=3, random_fraction=0.25
         )
         factor = factor_from_ceal_settings("S", settings)
-        algo = resolve_algorithm(factor).factory()
+        algo = build(factor)
         assert algo.settings == settings
 
 
@@ -161,19 +164,19 @@ class TestSharedComparisonSets:
         assert [f.name for f in history_factors()] == ["CEAL", "ALpH"]
 
     def test_no_history_specs(self):
-        specs = no_history_specs("LV", 50)
-        assert [s.name for s in specs] == ["RS", "GEIST", "AL", "CEAL"]
-        ceal = specs[-1].factory()
-        assert ceal.settings == ceal_settings_for("LV", 50, False)
+        factors = no_history_factors()
+        algos = [build(f, "LV", 50) for f in factors]
+        assert all(a is not None for a in algos)
+        assert algos[-1].settings == ceal_settings_for("LV", 50, False)
 
     def test_no_history_specs_apply_presets(self):
-        ceal = no_history_specs("GP", 25)[-1].factory()
+        ceal = build(no_history_factors()[-1], "GP", 25)
         assert ceal.settings == ceal_settings_for("GP", 25, False)
         assert ceal.settings.iterations == 6
 
     def test_history_specs(self):
-        specs = history_specs()
-        assert [s.name for s in specs] == ["CEAL", "ALpH"]
+        # Both resolve without a cell context.
+        assert all(build(f) is not None for f in history_factors())
 
 
 # -- matrix compilation and cell keys ------------------------------------------------
@@ -264,7 +267,7 @@ class TestCellCodec:
 class TestEngineMatchesPins:
     """The rebased drivers reproduce pre-refactor outputs exactly."""
 
-    def test_run_trials_equivalence(self, small_result):
+    def test_generic_trials_pinned(self, small_result):
         assert [
             _metrics_payload(t) for t in small_result.trials
         ] == PINS["run_trials"]
@@ -481,6 +484,22 @@ class TestReport:
                 "least_uses", "recouped_fraction", "expert_value",
             }
             assert 0.0 <= practicality["recouped_fraction"] <= 1.0
+
+    def test_practicality_block_matches_figure_rows(self, small_result, report):
+        # Figs. 8/12 and suite reports share one computation; the report
+        # only writes an unrecouped ``inf`` as JSON ``null``.
+        from repro.experiments.figures import _practicality_rows
+
+        group = small_result.spec.groups[0]
+        rows = _practicality_rows(group, small_result.group_trials(0))
+        blocks = report["groups"][0]["algorithms"]
+        assert [r["algorithm"] for r in rows] == list(blocks)
+        for row in rows:
+            block = blocks[row["algorithm"]]["practicality"]
+            uses = row["least_uses"]
+            assert block["least_uses"] == (None if uses == float("inf") else uses)
+            assert block["recouped_fraction"] == row["recouped_fraction"]
+            assert block["expert_value"] == row["expert_value"]
 
     def test_pairwise_comparisons(self, report):
         comparisons = report["groups"][0]["comparisons"]

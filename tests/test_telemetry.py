@@ -19,12 +19,8 @@ from repro import telemetry
 from repro.cli import main
 from repro.core.algorithms import RandomSampling
 from repro.core.autotuner import AutoTuner
-from repro.experiments.runner import (
-    SUMMARY_PERCENTILES,
-    AlgorithmSpec,
-    run_trials,
-    summarize,
-)
+from repro.experiments.presets import AlgorithmFactor
+from repro.experiments.suite import SuiteGroup, SuiteSpec, run_suite
 from repro.insitu.coupled import run_coupled
 from repro.insitu.tracing import RunTracer
 from repro.telemetry import (
@@ -35,9 +31,6 @@ from repro.telemetry import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-
-SPECS = (AlgorithmSpec("RS", RandomSampling),)
-
 
 def make_hub_with_nested_spans() -> Telemetry:
     hub = Telemetry()
@@ -255,23 +248,25 @@ def metric_structure(hub: Telemetry) -> dict:
 
 
 class TestParallelMerge:
-    def run_captured(self, lv, jobs):
+    def run_captured(self, jobs):
+        group = SuiteGroup(
+            workflow="LV", objective="computer_time", budget=5,
+            algorithms=(AlgorithmFactor.make("RS", "rs"),), repeats=4,
+            pool_size=150, pool_seed=7, history_size=120,
+        )
         hub = Telemetry()
         with telemetry.use(hub):
-            trials = run_trials(
-                lv, "computer_time", SPECS, budget=5, repeats=4,
-                pool_size=150, pool_seed=7, history_size=120, jobs=jobs,
-            )
-        return hub, trials
+            result = run_suite(SuiteSpec(name="merge", groups=(group,)), jobs=jobs)
+        return hub, result.trials
 
     def test_merged_telemetry_deterministic_across_jobs(
-        self, lv, lv_pool, lv_histories
+        self, lv_pool, lv_histories
     ):
         # lv_pool/lv_histories pre-warm the memoised pool so both runs
         # see identical cache behaviour (the first generate_pool call
         # would otherwise record the generation spans).
-        serial_hub, serial_trials = self.run_captured(lv, jobs=1)
-        parallel_hub, parallel_trials = self.run_captured(lv, jobs=2)
+        serial_hub, serial_trials = self.run_captured(jobs=1)
+        parallel_hub, parallel_trials = self.run_captured(jobs=2)
         assert span_structure(serial_hub) == span_structure(parallel_hub)
         assert metric_structure(serial_hub) == metric_structure(parallel_hub)
         for a, b in zip(serial_trials, parallel_trials):
@@ -279,15 +274,15 @@ class TestParallelMerge:
             assert a.seed == b.seed
         validate_chrome_trace(to_chrome_trace(parallel_hub))
 
-    def test_worker_attribution_covers_all_tasks(self, lv, lv_pool):
-        hub, _ = self.run_captured(lv, jobs=2)
+    def test_worker_attribution_covers_all_tasks(self, lv_pool):
+        hub, _ = self.run_captured(jobs=2)
         workers = {
             r.worker for r in hub.spans if r.name == "runner.task"
         }
         assert workers == {0, 1, 2, 3}
 
-    def test_expected_spans_and_metrics_recorded(self, lv, lv_pool):
-        hub, _ = self.run_captured(lv, jobs=1)
+    def test_expected_spans_and_metrics_recorded(self, lv_pool):
+        hub, _ = self.run_captured(jobs=1)
         names = {r.name for r in hub.spans}
         assert {"runner.task", "runner.trial", "driver.run",
                 "driver.cycle", "collector.measure"} <= names
@@ -311,20 +306,6 @@ class TestBitIdentity:
         assert traced.pool_best_value == plain.pool_best_value
         assert traced.best_config == plain.best_config
         assert traced.cost == plain.cost
-
-
-class TestSummarizePercentiles:
-    def test_summary_reports_wall_clock_tails(self, lv, lv_pool):
-        trials = run_trials(
-            lv, "computer_time", SPECS, budget=5, repeats=3,
-            pool_size=150, pool_seed=7, history_size=120,
-        )
-        row = summarize(trials)["RS"]
-        for p in SUMMARY_PERCENTILES:
-            assert f"wall_seconds_p{p}" in row
-            assert f"fit_seconds_p{p}" in row
-        assert row["wall_seconds_p50"] <= row["wall_seconds_p99"]
-        assert row["wall_seconds_p99"] <= max(t.wall_seconds for t in trials)
 
 
 class TestCliTelemetry:

@@ -194,7 +194,6 @@ class TestProblemArtifacts:
             "LV",
             "execution_time",
             budget=4,
-            tasks=[],
             pool_size=inputs["pool_size"],
             pool_seed=inputs["seed"],
             noise_sigma=inputs["noise_sigma"],
