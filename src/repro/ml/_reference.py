@@ -32,7 +32,7 @@ def reference_fit_gradients(
 
     Fills ``tree``'s flat node arrays in place.  ``tree`` supplies the
     hyper-parameters (``max_depth``, ``min_samples_leaf``,
-    ``min_child_weight``, ``gamma``, ``max_features``, ``random_state``).
+    ``min_child_weight``, ``gamma``).
     """
     n, _ = X.shape
     feature: list[int] = []
@@ -40,11 +40,6 @@ def reference_fit_gradients(
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []
-    rng = (
-        np.random.default_rng(tree.random_state)
-        if tree.max_features is not None
-        else None
-    )
 
     def new_node() -> int:
         feature.append(_NO_CHILD)
@@ -63,7 +58,7 @@ def reference_fit_gradients(
         value[node] = leaf_weight(rows)
         if depth >= tree.max_depth or rows.size < 2 * tree.min_samples_leaf:
             return
-        split = _reference_best_split(tree, X, g, h, rows, lam, rng)
+        split = _reference_best_split(tree, X, g, h, rows, lam)
         if split is None:
             return
         j, thr, left_rows, right_rows = split
@@ -86,14 +81,8 @@ def reference_fit_gradients(
     tree.value = np.asarray(value, dtype=np.float64)
 
 
-def _reference_best_split(tree, X, g, h, rows, lam, rng):
+def _reference_best_split(tree, X, g, h, rows, lam):
     """Per-feature argsort split search (the original ``_best_split``)."""
-    n_features = X.shape[1]
-    if tree.max_features is not None and tree.max_features < n_features:
-        candidates = rng.choice(n_features, size=tree.max_features, replace=False)
-    else:
-        candidates = np.arange(n_features)
-
     G = g[rows].sum()
     H = h[rows].sum()
     parent_score = G * G / (H + lam)
@@ -101,7 +90,7 @@ def _reference_best_split(tree, X, g, h, rows, lam, rng):
     best: tuple | None = None
     min_leaf = tree.min_samples_leaf
 
-    for j in candidates:
+    for j in range(X.shape[1]):
         xj = X[rows, j]
         order = np.argsort(xj, kind="stable")
         xs = xj[order]

@@ -15,6 +15,15 @@ Trees grow by presorted exact greedy search (bit-identical to the
 historical implementation), and the fitted ensemble is packed into a
 :class:`~repro.ml.packed.PackedEnsemble` so prediction is one
 vectorized traversal instead of a Python loop over trees.
+
+A fit draws every round's row and column subsets and presorts the
+feature ranks in Python, then grows all rounds in one compiled call
+(:func:`repro.ml._native.gbt_fit`): gradients, trees and the prediction
+update, with the same floats as the numpy loop.  Without the compiled
+kernel (or with ``REPRO_NO_NATIVE=1``) the numpy loop
+(:meth:`GradientBoostedTrees._numpy_rounds`) grows the identical trees;
+it is also the kernel's test oracle.  The ``ml.fit.boosting`` span's
+``kernel`` attribute says which one ran.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
+from repro.ml import _native
 from repro.ml.packed import PackedEnsemble
 from repro.ml.tree import RegressionTree, _feature_group_ids
 
@@ -109,8 +119,8 @@ class GradientBoostedTrees:
             category="fit",
             samples=n,
             rounds=self.n_estimators,
-        ):
-            self._fit_rounds(X, target, n, d)
+        ) as span:
+            span.set(kernel=self._fit_rounds(X, target, n, d))
             self._packed = PackedEnsemble.pack(
                 self._trees,
                 n_features=d,
@@ -119,68 +129,107 @@ class GradientBoostedTrees:
             )
         return self
 
-    def _fit_rounds(self, X: np.ndarray, target: np.ndarray, n: int, d: int):
+    def _new_tree(self) -> RegressionTree:
+        """An unfitted round tree (constructing it validates the params)."""
+        return RegressionTree(
+            max_depth=self.max_depth,
+            min_samples_leaf=self.min_samples_leaf,
+            min_child_weight=self.min_child_weight,
+            reg_lambda=self.reg_lambda,
+            gamma=self.gamma,
+        )
+
+    def _fit_rounds(self, X: np.ndarray, target: np.ndarray, n: int, d: int) -> str:
+        """Grow every round's tree; returns which kernel grew them."""
+        self._new_tree()  # same parameter errors whichever kernel runs
         rng = np.random.default_rng(self.random_state)
-        self._trees = []
-        self._tree_columns = []
         self._n_features = d
         self._base_score = float(target.mean())
-        pred = np.full(n, self._base_score)
 
+        # Every round's row and column subsets, drawn up front in the
+        # historical order (rows, then columns, round by round): the
+        # fit itself draws nothing.
         n_rows = max(1, int(round(self.subsample * n)))
         n_cols = max(1, int(round(self.colsample * d)))
-
-        # Presort once per fit; every round's tree sorts integer rank
-        # slices instead of re-ranking float columns.
-        gid = _feature_group_ids(X)
-
-        # Loop-invariant bases: the hessian of ½(pred − t)² is one for
-        # every row of every round, and the identity row/column indices
-        # only matter when sub-sampling is off.
-        hess = np.ones(n)
         all_rows = np.arange(n)
         all_cols = np.arange(d)
+        rows, cols = [], []
         for _ in range(self.n_estimators):
-            grad = pred - target  # d/dpred ½(pred − t)²
-            rows = (
+            rows.append(
                 rng.choice(n, size=n_rows, replace=False)
                 if n_rows < n
                 else all_rows
             )
-            cols = (
+            cols.append(
                 np.sort(rng.choice(d, size=n_cols, replace=False))
                 if n_cols < d
                 else all_cols
             )
-            tree = RegressionTree(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                min_child_weight=self.min_child_weight,
-                reg_lambda=self.reg_lambda,
-                gamma=self.gamma,
-            )
-            if n_rows == n and n_cols == d:
+        self._tree_columns = cols
+
+        # Presort once per fit; every round's tree sorts integer rank
+        # slices instead of re-ranking float columns.
+        gid = _feature_group_ids(X)
+        nodes = _native.gbt_fit(
+            X,
+            gid,
+            target,
+            rows if n_rows < n else None,
+            cols,
+            base=self._base_score,
+            learning_rate=self.learning_rate,
+            max_depth=self.max_depth,
+            min_samples_leaf=self.min_samples_leaf,
+            min_child_weight=self.min_child_weight,
+            reg_lambda=self.reg_lambda,
+            gamma=self.gamma,
+        )
+        if nodes is not None:
+            self._trees = [self._new_tree()._set_nodes(*arrays) for arrays in nodes]
+            return "native"
+        self._trees = self._numpy_rounds(X, target, gid, rows, cols)
+        return "numpy"
+
+    def _numpy_rounds(
+        self,
+        X: np.ndarray,
+        target: np.ndarray,
+        gid: np.ndarray,
+        rows: list,
+        cols: list,
+    ) -> list:
+        """The pure-numpy boosting loop: the fallback and the kernel's oracle."""
+        n, d = X.shape
+        pred = np.full(n, self._base_score)
+        # The hessian of ½(pred − t)² is one for every row of every round.
+        hess = np.ones(n)
+        trees = []
+        for round_rows, round_cols in zip(rows, cols):
+            grad = pred - target  # d/dpred ½(pred − t)²
+            tree = self._new_tree()
+            if round_rows.size == n and round_cols.size == d:
                 # No subsampling: the np.ix_ slices would be exact
                 # copies, so skip them (identical floats either way).
                 tree.fit_gradients(X, grad, hess, group_ids=gid)
-            elif n_cols == d:
+            elif round_cols.size == d:
                 # Row subsampling only: plain row gathers pick the same
                 # elements as the np.ix_ outer product, without
                 # materialising the index mesh.
                 tree.fit_gradients(
-                    X[rows], grad[rows], hess[rows], group_ids=gid[rows]
+                    X[round_rows],
+                    grad[round_rows],
+                    hess[round_rows],
+                    group_ids=gid[round_rows],
                 )
             else:
+                mesh = np.ix_(round_rows, round_cols)
                 tree.fit_gradients(
-                    X[np.ix_(rows, cols)],
-                    grad[rows],
-                    hess[rows],
-                    group_ids=gid[np.ix_(rows, cols)],
+                    X[mesh], grad[round_rows], hess[round_rows], group_ids=gid[mesh]
                 )
-            update = tree.predict(X if n_cols == d else X[:, cols])
+            update = tree.predict(X if round_cols.size == d else X[:, round_cols])
             pred = pred + self.learning_rate * update
-            self._trees.append(tree)
-            self._tree_columns.append(cols)
+            trees.append(tree)
+        return trees
 
     def _ensure_packed(self) -> PackedEnsemble:
         """The packed form, rebuilt on demand.

@@ -87,35 +87,47 @@ class PackedEnsemble:
         """
         if not trees:
             raise ValueError("cannot pack an empty ensemble")
-        sizes = [tree.feature.size for tree in trees]
-        total = int(np.sum(sizes))
+        sizes = np.array([tree.feature.size for tree in trees], dtype=np.int64)
+        total = int(sizes.sum())
         if total >= np.iinfo(np.int32).max:
             raise ValueError(f"ensemble too large to pack: {total} nodes")
-        feature = np.zeros(total, dtype=np.int32)
-        threshold = np.full(total, np.inf)
-        left = np.empty(total, dtype=np.int32)
-        right = np.empty(total, dtype=np.int32)
-        value = np.empty(total)
-        roots = np.empty(len(trees), dtype=np.int32)
+        roots = np.zeros(len(trees), dtype=np.int64)
+        np.cumsum(sizes[:-1], out=roots[1:])
+        offset = np.repeat(roots, sizes)
+        ids = np.arange(total)
+        local_left = np.concatenate([tree.left for tree in trees])
+        internal = local_left != _NO_CHILD
+        left = np.where(internal, local_left + offset, ids).astype(np.int32)
+        right = np.where(
+            internal, np.concatenate([tree.right for tree in trees]) + offset, ids
+        ).astype(np.int32)
+        feature = np.where(
+            internal, np.concatenate([tree.feature for tree in trees]), 0
+        )
+        if columns is not None:
+            cols = [np.asarray(c) for c in columns]
+            col_base = np.zeros(len(cols), dtype=np.int64)
+            np.cumsum([c.size for c in cols[:-1]], out=col_base[1:])
+            feature = np.where(
+                internal,
+                np.concatenate(cols)[np.repeat(col_base, sizes) + feature],
+                0,
+            )
+        feature = feature.astype(np.int32)
+        threshold = np.where(
+            internal, np.concatenate([tree.threshold for tree in trees]), np.inf
+        )
+        value = np.concatenate([tree.value for tree in trees])
+        if scale is not None:
+            value = scale * value
+        # Deepest tree: one frontier step per level with an internal node.
         max_depth = 0
-        base = 0
-        for t, tree in enumerate(trees):
-            size = sizes[t]
-            stop = base + size
-            roots[t] = base
-            internal = tree.left != _NO_CHILD
-            cols = None if columns is None else np.asarray(columns[t])
-            if cols is None:
-                feature[base:stop][internal] = tree.feature[internal]
-            else:
-                feature[base:stop][internal] = cols[tree.feature[internal]]
-            threshold[base:stop][internal] = tree.threshold[internal]
-            ids = np.arange(base, stop, dtype=np.int32)
-            left[base:stop] = np.where(internal, tree.left + base, ids)
-            right[base:stop] = np.where(internal, tree.right + base, ids)
-            value[base:stop] = tree.value if scale is None else scale * tree.value
-            max_depth = max(max_depth, tree.depth)
-            base = stop
+        frontier = roots[internal[roots]]
+        while frontier.size:
+            max_depth += 1
+            children = np.concatenate((left[frontier], right[frontier]))
+            frontier = children[internal[children]]
+        roots = roots.astype(np.int32)
         return cls(
             feature=feature,
             threshold=threshold,

@@ -23,6 +23,11 @@ stable partition would order ties by the *parent's* sort, while the
 original orders them by the node's own row order, and the prefix sums
 feeding the gain comparisons are sensitive to that order at the ulp
 level.
+
+Boosting grows its round trees in the compiled kernel of
+:mod:`repro.ml._native` when it is available; that kernel follows this
+module's split search float for float, and :meth:`RegressionTree.fit_gradients`
+is its oracle.
 """
 
 from __future__ import annotations
@@ -98,11 +103,6 @@ class RegressionTree:
         L2 regularisation of leaf weights.
     gamma:
         Minimum gain required to keep a split.
-    max_features:
-        Number of features examined per split (``None`` = all); used for
-        random-forest-style column subsampling at the *node* level.
-    random_state:
-        Seed for feature subsampling.
     """
 
     max_depth: int = 4
@@ -110,8 +110,6 @@ class RegressionTree:
     min_child_weight: float = 1e-6
     reg_lambda: float = 1.0
     gamma: float = 0.0
-    max_features: int | None = None
-    random_state: int | None = None
 
     # flat node arrays, filled by fit
     feature: np.ndarray = field(init=False, repr=False, default=None)
@@ -200,11 +198,6 @@ class RegressionTree:
         left: list[int] = []
         right: list[int] = []
         value: list[float] = []
-        rng = (
-            np.random.default_rng(self.random_state)
-            if self.max_features is not None
-            else None
-        )
 
         def new_node() -> int:
             feature.append(_NO_CHILD)
@@ -223,7 +216,7 @@ class RegressionTree:
             value[node] = leaf_weight(rows)
             if depth >= self.max_depth or rows.size < 2 * self.min_samples_leaf:
                 return
-            split = self._best_split(X, gid, g, h, rows, lam, rng, unit_h, scratch)
+            split = self._best_split(X, gid, g, h, rows, lam, unit_h, scratch)
             if split is None:
                 return
             j, thr, left_rows, right_rows = split
@@ -242,11 +235,25 @@ class RegressionTree:
         with np.errstate(divide="ignore", invalid="ignore"):
             build(np.arange(n), 0, root)
 
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.value = np.asarray(value, dtype=np.float64)
+        return self._set_nodes(
+            np.asarray(feature, dtype=np.int64),
+            np.asarray(threshold, dtype=np.float64),
+            np.asarray(left, dtype=np.int64),
+            np.asarray(right, dtype=np.int64),
+            np.asarray(value, dtype=np.float64),
+        )
+
+    def _set_nodes(self, feature, threshold, left, right, value) -> "RegressionTree":
+        """Install fitted node arrays.
+
+        Every fit path goes through here, so the instance dict (and with
+        it a pickle) is laid out the same whichever kernel grew the tree.
+        """
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.value = value
         return self
 
     def _best_split(
@@ -257,7 +264,6 @@ class RegressionTree:
         h: np.ndarray,
         rows: np.ndarray,
         lam: float,
-        rng: np.random.Generator | None,
         unit_h: bool = False,
         scratch: "_FitScratch | None" = None,
     ):
@@ -273,13 +279,7 @@ class RegressionTree:
         hessian prefix sums to the exact sequence ``1..m`` (the value a
         float64 cumsum of ones produces bit-for-bit).
         """
-        n_features = X.shape[1]
-        if self.max_features is not None and self.max_features < n_features:
-            candidates = rng.choice(n_features, size=self.max_features, replace=False)
-            sub = gid[np.ix_(rows, candidates)]
-        else:
-            candidates = None
-            sub = gid[rows]
+        sub = gid[rows]
 
         m = rows.size
         g_node = g[rows]
@@ -287,7 +287,7 @@ class RegressionTree:
         H = float(m) if unit_h else h[rows].sum()
         parent_score = G * G / (H + lam)
 
-        if scratch is not None and candidates is None:
+        if scratch is not None:
             col_idx = scratch.col_idx
         else:
             col_idx = np.arange(sub.shape[1])[None, :]
@@ -345,13 +345,14 @@ class RegressionTree:
         if best_c < 0:
             return None
 
-        j = int(candidates[best_c]) if candidates is not None else best_c
         boundary = lo + int(col_arg[best_c])
         sorted_rows = rows[order[:, best_c]]
-        thr = 0.5 * (X[sorted_rows[boundary], j] + X[sorted_rows[boundary + 1], j])
+        thr = 0.5 * (
+            X[sorted_rows[boundary], best_c] + X[sorted_rows[boundary + 1], best_c]
+        )
         left_rows = sorted_rows[: boundary + 1]
         right_rows = sorted_rows[boundary + 1 :]
-        return (j, float(thr), left_rows, right_rows)
+        return (best_c, float(thr), left_rows, right_rows)
 
     # -- prediction ------------------------------------------------------------------
 

@@ -53,9 +53,6 @@ def test_tree_fit_bit_identical_to_reference(case):
         reg_lambda=float(rng.choice([0.0, 1.0, 3.0])),
         gamma=float(rng.choice([0.0, 0.1])),
     )
-    if case % 2:
-        params["max_features"] = int(rng.integers(1, d + 1))
-        params["random_state"] = case
     new = RegressionTree(**params).fit_gradients(X, g, h)
     old = RegressionTree(**params)
     reference_fit_gradients(old, X, g, h, lam=params["reg_lambda"])
@@ -265,9 +262,10 @@ def test_encoder_pickle_drops_memo():
     )
 
 
-def test_telemetry_summary_surfaces_ml_kernels():
+def test_telemetry_summary_surfaces_ml_kernels(monkeypatch):
     from repro import telemetry
     from repro.core.surrogate import default_surrogate
+    from repro.ml import _native
     from repro.telemetry.hub import Telemetry
 
     hub = Telemetry()
@@ -287,6 +285,17 @@ def test_telemetry_summary_surfaces_ml_kernels():
     assert "ml kernels" in text
     assert "ml.predict" in text
     assert "pool cache" in text and "hit_rate=50.0%" in text
+    # The fit span names the kernel that grew the trees.
+    (fit_span,) = [r for r in hub.spans if r.name == "ml.fit.boosting"]
+    assert fit_span.attributes["kernel"] == (
+        "native" if _native.available() else "numpy"
+    )
+    monkeypatch.setattr(_native, "gbt_fit", lambda *a, **k: None)
+    hub = Telemetry()
+    with telemetry.use(hub):
+        default_surrogate(enc, random_state=0).fit(configs, values)
+    (fit_span,) = [r for r in hub.spans if r.name == "ml.fit.boosting"]
+    assert fit_span.attributes["kernel"] == "numpy"
 
 
 def test_surrogate_cache_matches_fresh_predictions():
@@ -337,6 +346,134 @@ def test_native_kernel_matches_numpy_fallback(monkeypatch):
     monkeypatch.setattr(packed._native, "packed_predict", lambda *a: None)
     assert np.array_equal(model.predict(pool), with_native)
     assert np.array_equal(with_native, reference_ensemble_predict(model, pool))
+
+
+def _assert_same_trees(a: GradientBoostedTrees, b: GradientBoostedTrees) -> None:
+    assert len(a._trees) == len(b._trees)
+    for s, t in zip(a._trees, b._trees):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            u, v = getattr(s, name), getattr(t, name)
+            assert u.dtype == v.dtype, name
+            assert np.array_equal(u, v, equal_nan=True), name
+        assert np.array_equal(np.signbit(s.value), np.signbit(t.value))
+
+
+#: Fit sizes crossing the kernel's insertion/radix sort cutoff (32 rows)
+#: and numpy's 8-element and 128-element pairwise-sum blocks.
+_FIT_SIZES = (1, 2, 3, 7, 8, 9, 31, 32, 33, 64, 127, 128, 129, 200, 256, 257,
+              400, 600)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_native_fit_matches_numpy_fallback(case, monkeypatch):
+    """One compiled call per fit grows the numpy loop's trees bit for bit.
+
+    Cases mix ties, duplicate and NaN columns, row and column
+    subsampling, min_child_weight > 1, λ = 0, γ > 0, depth 0, and a
+    constant target (zero gradients, so −0.0 leaves).
+    """
+    from repro.ml import _native
+
+    if not _native.available():
+        pytest.skip("compiled kernel unavailable in this environment")
+    rng = np.random.default_rng(500 + case)
+    n = _FIT_SIZES[case % len(_FIT_SIZES)]
+    d = int(rng.integers(1, 9))
+    X = _random_matrix(rng, n, d, case)
+    if case % 7 == 0:
+        X[rng.random(size=(n, d)) < 0.1] = np.nan
+    y = np.exp(rng.normal(size=n))
+    constant = case % 9 == 0
+    if constant:
+        y[:] = 1.0  # log(1) = 0: the base score is exact, every gradient 0
+    params = dict(
+        n_estimators=int(rng.integers(1, 30)),
+        learning_rate=float(rng.uniform(0.05, 1.0)),
+        max_depth=case % 7,
+        min_samples_leaf=int(rng.integers(1, 4)),
+        min_child_weight=float(rng.choice([1e-6, 1.0, 3.0])),
+        reg_lambda=float(rng.choice([0.0, 1.0, 3.0])),
+        gamma=float(rng.choice([0.0, 0.05])),
+        subsample=(1.0, 0.6, 0.9)[case % 3],
+        colsample=(1.0, 0.5)[case // 3 % 2],
+        log_target=bool(case % 2),
+        random_state=case,
+    )
+    native = GradientBoostedTrees(**params).fit(X, y)
+    monkeypatch.setattr(_native, "gbt_fit", lambda *a, **k: None)
+    fallback = GradientBoostedTrees(**params).fit(X, y)
+    _assert_same_trees(native, fallback)
+    if constant:
+        assert np.signbit(native._trees[0].value).all()
+    X_test = _random_matrix(rng, 50, d, case + 1)
+    assert np.array_equal(native.predict(X_test), fallback.predict(X_test))
+    assert pickle.dumps(native) == pickle.dumps(fallback)
+
+
+def test_native_fits_in_threads_match_serial():
+    """Two threads fitting different models at once grow the serial trees.
+
+    The kernel keeps no global state and cffi drops the GIL for the call,
+    so the fits really overlap.
+    """
+    import threading
+
+    from repro.ml import _native
+
+    if not _native.available():
+        pytest.skip("compiled kernel unavailable in this environment")
+    rng = np.random.default_rng(21)
+    jobs = []
+    for k in range(2):
+        X = _random_matrix(rng, 400, 6, k)
+        y = np.exp(rng.normal(size=400))
+        params = dict(n_estimators=60, subsample=0.8, colsample=(1.0, 0.7)[k],
+                      random_state=k)
+        jobs.append((params, X, y))
+    serial = [GradientBoostedTrees(**p).fit(X, y) for p, X, y in jobs]
+    threaded: list[list] = [[], []]
+    start = threading.Barrier(2)
+
+    def work(k: int) -> None:
+        params, X, y = jobs[k]
+        start.wait()
+        for _ in range(4):
+            threaded[k].append(GradientBoostedTrees(**params).fit(X, y))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    for want, got in zip(serial, threaded):
+        assert len(got) == 4
+        for model in got:
+            _assert_same_trees(model, want)
+
+
+def test_native_fit_rejects_out_of_range_subsets():
+    from repro.ml import _native
+    from repro.ml.tree import _feature_group_ids
+
+    if not _native.available():
+        pytest.skip("compiled kernel unavailable in this environment")
+    X = np.arange(8.0).reshape(4, 2)
+    gid = _feature_group_ids(X)
+    target = np.zeros(4)
+    params = dict(base=0.0, learning_rate=0.1, max_depth=2, min_samples_leaf=1,
+                  min_child_weight=1e-6, reg_lambda=1.0, gamma=0.0)
+    with pytest.raises(ValueError, match="column"):
+        _native.gbt_fit(X, gid, target, None, [np.array([0, 2])], **params)
+    with pytest.raises(ValueError, match="row"):
+        _native.gbt_fit(
+            X, gid, target, [np.array([0, 4])], [np.array([0, 1])], **params
+        )
+    with pytest.raises(ValueError, match="min_samples_leaf"):
+        _native.gbt_fit(
+            X, gid, target, None, [np.array([0, 1])],
+            **{**params, "min_samples_leaf": 0},
+        )
 
 
 def test_unit_hessian_fastpath_matches_reference():

@@ -125,10 +125,3 @@ class TestPrediction:
         t1 = RegressionTree(max_depth=4).fit(X, y)
         t2 = RegressionTree(max_depth=4).fit(X, y)
         np.testing.assert_array_equal(t1.predict(X), t2.predict(X))
-
-    def test_feature_subsampling_uses_seed(self, rng):
-        X = rng.uniform(size=(80, 6))
-        y = X @ np.arange(1.0, 7.0)
-        t1 = RegressionTree(max_depth=3, max_features=2, random_state=1).fit(X, y)
-        t2 = RegressionTree(max_depth=3, max_features=2, random_state=1).fit(X, y)
-        np.testing.assert_array_equal(t1.predict(X), t2.predict(X))

@@ -87,6 +87,50 @@ def test_reproduces_pre_refactor_output(key, lv, lv_pool, lv_histories):
     assert list(scores) == PINNED_SCORES[key]["pool_scores"]
 
 
+@pytest.mark.parametrize("kernel", ["native", "numpy"])
+def test_pinned_output_on_both_fit_kernels(
+    kernel, lv, lv_pool, lv_histories, monkeypatch
+):
+    """The compiled boosting fit and the numpy loop both reproduce every pin.
+
+    ``numpy`` switches the compiled kernels off exactly as
+    ``REPRO_NO_NATIVE=1`` does; every fit span must then report the
+    kernel that actually grew its trees.
+    """
+    from repro import telemetry as tel
+    from repro.ml import _native
+
+    if kernel == "native" and not _native.available():
+        pytest.skip("compiled kernel unavailable in this environment")
+    if kernel == "numpy":
+        monkeypatch.setattr(_native, "_state", False)
+    for key in sorted(CASES):
+        pin = PINNED[key]
+        problem = TuningProblem.create(
+            workflow=lv,
+            objective=EXECUTION_TIME,
+            pool=lv_pool,
+            budget_runs=pin["budget"],
+            seed=3,
+            histories=lv_histories,
+            failure_rate=pin["failure_rate"],
+        )
+        hub = tel.Telemetry()
+        with tel.use(hub):
+            result = CASES[key]().tune(problem)
+            scores = result.predict_pool(lv_pool)
+        assert [list(c) for c in result.measured] == pin["measured_configs"], key
+        assert list(result.measured.values()) == pin["measured_values"], key
+        assert list(result.best_config(lv_pool)) == pin["recommendation"], key
+        assert list(scores) == PINNED_SCORES[key]["pool_scores"], key
+        kernels = {
+            span.attributes["kernel"]
+            for span in hub.spans
+            if span.name == "ml.fit.boosting"
+        }
+        assert kernels <= {kernel}, key
+
+
 def test_oracle_pool_preserves_pinned_output(lv, lv_pool, lv_histories, monkeypatch):
     """The fast measurement sweep never moves a pinned number.
 
